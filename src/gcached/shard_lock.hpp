@@ -1,15 +1,18 @@
 // The sanctioned per-shard lock of the gcached runtime.
 //
-// Every gcached shard is guarded by one `ShardLock` (a std::shared_mutex
-// wrapper). This file is the ONLY place per-access code may touch a raw
-// mutex: gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens
+// Every gcached shard is guarded by one `ShardLock`: a single
+// std::atomic<bool>. This file is the ONLY place per-access code may touch a
+// raw lock: gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens
 // inside GC_HOT_REGION blocks everywhere else, so all per-access locking is
 // forced through these helpers and automatically inherits
 //
-//   * try-lock first — the uncontended path is one atomic RMW, no syscall;
+//   * one atomic exchange on the uncontended path — no syscall and no
+//     reader count: block sharding makes every op exactly one exclusive
+//     acquisition, so the lock has no shared mode;
 //   * randomized exponential backoff on contention — a few yields, then
 //     jittered sleeps whose cap doubles per round (the jitter decorrelates
-//     threads that collided once so they do not collide forever);
+//     threads that collided once so they do not collide forever); each
+//     retry reads the flag before exchanging (test-and-test-and-set);
 //   * contention telemetry — acquisitions / contended acquisitions / backoff
 //     rounds are counted into the caller's ClientContext, cheap per-thread
 //     plain counters that the load generator aggregates and emits through
@@ -33,7 +36,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 #include "util/contracts.hpp"
@@ -41,22 +43,22 @@
 
 namespace gcaching::gcached {
 
-/// Backoff schedule for contended shard acquisitions. The defaults are tuned
-/// for "short critical section, occasionally held across a simulated fill":
-/// yields resolve sub-microsecond collisions without burning CPU (important
-/// on oversubscribed hosts), and the sleep cap bounds the retry storm when a
-/// fill holds the shard for tens of microseconds.
-struct BackoffConfig {
-  /// try_lock failures answered with std::this_thread::yield() before the
-  /// schedule escalates to sleeping.
-  std::uint32_t yield_rounds = 4;
-  /// First sleep duration; must be a power of two (the jitter is drawn with
-  /// a mask). Doubles every round after the yields.
-  std::uint64_t base_sleep_ns = 256;
-  /// Number of doublings before the sleep cap stops growing
-  /// (256ns << 8 = 65us max with the defaults).
-  std::uint32_t max_sleep_doublings = 8;
-};
+// Backoff schedule for contended shard acquisitions, tuned for "short
+// critical section, occasionally held across a simulated fill": yields
+// resolve sub-microsecond collisions without burning CPU (important on
+// oversubscribed hosts), and the sleep cap bounds the retry storm when a
+// sync fill holds the shard for tens of microseconds.
+
+/// Failed acquisition attempts answered with std::this_thread::yield()
+/// before the schedule escalates to sleeping.
+inline constexpr std::uint32_t kBackoffYieldRounds = 4;
+/// First sleep; doubles every round after the yields. A power of two, so
+/// the jitter is drawn with a mask.
+inline constexpr std::uint64_t kBackoffBaseSleepNs = 256;
+/// Doublings before the sleep cap stops growing (256ns << 8 = 65us).
+inline constexpr std::uint32_t kBackoffMaxDoublings = 8;
+static_assert((kBackoffBaseSleepNs & (kBackoffBaseSleepNs - 1)) == 0,
+              "the backoff jitter mask needs a power-of-two base sleep");
 
 /// Per-client-thread state: the jitter RNG (SplitMix64, seeded per thread so
 /// backoff stays deterministic given a seed and schedule-independent in
@@ -67,15 +69,14 @@ struct ClientContext {
       : rng(seed ^ 0x9e3779b97f4a7c15ULL) {}
 
   SplitMix64 rng;
-  std::uint64_t lock_acquisitions = 0;  ///< total lock/lock_shared calls
-  std::uint64_t lock_contended = 0;     ///< calls whose first try_lock failed
+  std::uint64_t lock_acquisitions = 0;  ///< total lock() calls
+  std::uint64_t lock_contended = 0;     ///< calls whose first exchange failed
   std::uint64_t backoff_rounds = 0;     ///< yields + sleeps across all calls
   std::uint64_t backoff_ns = 0;         ///< requested sleep ns across rounds
 };
 
-/// One shard's lock. Exclusive mode for the single writer of a shard
-/// (access transitions), shared mode for read-only probes (residency
-/// queries, stats snapshots of a quiesced runtime take exclusive anyway).
+/// One shard's lock: one word, exclusive only. Every access transition,
+/// residency probe and stats snapshot takes it through ShardGuard.
 class ShardLock {
  public:
   ShardLock() = default;
@@ -83,73 +84,60 @@ class ShardLock {
   ShardLock& operator=(const ShardLock&) = delete;
 
   GC_HOT_REGION_BEGIN(shard_lock_acquire)
-  void lock(ClientContext& ctx, const BackoffConfig& cfg) {
+  /// Every backoff round follows exactly one failed attempt (a held flag
+  /// seen by the relaxed read or a lost exchange), so backoff_rounds also
+  /// counts failed attempts — gcmon publishes it as trylock failures.
+  void lock(ClientContext& ctx) {
     ++ctx.lock_acquisitions;
-    if (mu_.try_lock()) return;
+    if (!held_.exchange(true, std::memory_order_acquire)) return;
     ++ctx.lock_contended;
     for (std::uint32_t round = 1;; ++round) {
       ++ctx.backoff_rounds;
-      backoff(ctx, cfg, round);
-      if (mu_.try_lock()) return;
+      backoff(ctx, round);
+      if (!held_.load(std::memory_order_relaxed) &&
+          !held_.exchange(true, std::memory_order_acquire)) {
+        return;
+      }
     }
   }
 
-  void lock_shared(ClientContext& ctx, const BackoffConfig& cfg) {
-    ++ctx.lock_acquisitions;
-    if (mu_.try_lock_shared()) return;
-    ++ctx.lock_contended;
-    for (std::uint32_t round = 1;; ++round) {
-      ++ctx.backoff_rounds;
-      backoff(ctx, cfg, round);
-      if (mu_.try_lock_shared()) return;
-    }
-  }
-
-  void unlock() { mu_.unlock(); }
-  void unlock_shared() { mu_.unlock_shared(); }
+  void unlock() { held_.store(false, std::memory_order_release); }
   GC_HOT_REGION_END(shard_lock_acquire)
 
  private:
   GC_HOT_REGION_BEGIN(shard_lock_backoff)
-  /// One backoff round: yield while round <= yield_rounds, then sleep a
-  /// jittered duration in [base, base + cap) where cap doubles per sleeping
-  /// round up to base << max_sleep_doublings. The mask draw is exact because
-  /// base_sleep_ns is a power of two (checked at runtime construction by
-  /// the runtime, cheaply re-checked here in contract builds).
-  static void backoff(ClientContext& ctx, const BackoffConfig& cfg,
-                      std::uint32_t round) {
-    if (round <= cfg.yield_rounds) {
+  /// One backoff round: yield while round <= kBackoffYieldRounds, then sleep
+  /// a jittered duration in [base, base + cap) where cap doubles per
+  /// sleeping round up to base << kBackoffMaxDoublings.
+  static void backoff(ClientContext& ctx, std::uint32_t round) {
+    if (round <= kBackoffYieldRounds) {
       std::this_thread::yield();
       return;
     }
-    GC_HOT_REQUIRE((cfg.base_sleep_ns & (cfg.base_sleep_ns - 1)) == 0 &&
-                       cfg.base_sleep_ns > 0,
-                   "base_sleep_ns must be a power of two");
     const std::uint32_t doublings =
-        round - cfg.yield_rounds < cfg.max_sleep_doublings
-            ? round - cfg.yield_rounds
-            : cfg.max_sleep_doublings;
-    const std::uint64_t cap = cfg.base_sleep_ns << doublings;
-    const std::uint64_t jitter = ctx.rng() & (cap - 1);
+        round - kBackoffYieldRounds < kBackoffMaxDoublings
+            ? round - kBackoffYieldRounds
+            : kBackoffMaxDoublings;
+    const std::uint64_t cap = kBackoffBaseSleepNs << doublings;
+    const std::uint64_t sleep_ns =
+        kBackoffBaseSleepNs + (ctx.rng() & (cap - 1));
     // Requested (not measured) duration: reading a clock here would tax the
     // contention path it instruments — and trip gclint's
     // hot-region-raw-clock rule, which allowlists only this file and gcmon.
-    ctx.backoff_ns += cfg.base_sleep_ns + jitter;
-    std::this_thread::sleep_for(
-        std::chrono::nanoseconds(cfg.base_sleep_ns + jitter));
+    ctx.backoff_ns += sleep_ns;
+    std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
   }
   GC_HOT_REGION_END(shard_lock_backoff)
 
-  std::shared_mutex mu_;
+  std::atomic<bool> held_{false};
 };
 
 /// RAII exclusive acquisition — the only way gcached hot paths take a shard.
 class ShardGuard {
  public:
   GC_HOT_REGION_BEGIN(shard_guard)
-  ShardGuard(ShardLock& lock, ClientContext& ctx, const BackoffConfig& cfg)
-      : lock_(lock) {
-    lock_.lock(ctx, cfg);
+  ShardGuard(ShardLock& lock, ClientContext& ctx) : lock_(lock) {
+    lock_.lock(ctx);
   }
   ~ShardGuard() { lock_.unlock(); }
   GC_HOT_REGION_END(shard_guard)
@@ -239,25 +227,6 @@ class FillGate {
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<std::uint64_t> epoch_{0};
-};
-
-/// RAII shared acquisition, for read-only shard probes.
-class SharedShardGuard {
- public:
-  GC_HOT_REGION_BEGIN(shared_shard_guard)
-  SharedShardGuard(ShardLock& lock, ClientContext& ctx,
-                   const BackoffConfig& cfg)
-      : lock_(lock) {
-    lock_.lock_shared(ctx, cfg);
-  }
-  ~SharedShardGuard() { lock_.unlock_shared(); }
-  GC_HOT_REGION_END(shared_shard_guard)
-
-  SharedShardGuard(const SharedShardGuard&) = delete;
-  SharedShardGuard& operator=(const SharedShardGuard&) = delete;
-
- private:
-  ShardLock& lock_;
 };
 
 }  // namespace gcaching::gcached

@@ -128,7 +128,6 @@ struct GcachedConfig {
   /// back to an unqueued (non-coalescible) fill rather than waiting for a
   /// register.
   std::size_t mshr_entries = 8;
-  BackoffConfig backoff;
 };
 
 /// Type-erased runtime handle (the template below is the only
@@ -147,7 +146,7 @@ class ConcurrentCache {
   /// must be `item`'s block id (precomputed, as in the fast engines).
   virtual void access(ClientContext& ctx, ItemId item, BlockId block) = 0;
 
-  /// Read-only residency probe under the shard's shared lock.
+  /// Read-only residency probe under the shard's exclusive lock.
   virtual bool contains(ClientContext& ctx, ItemId item, BlockId block) = 0;
 
   /// Aggregate SimStats across shards. Takes every shard lock; the result
@@ -188,10 +187,6 @@ class ShardedCache final : public ConcurrentCache {
     GC_REQUIRE(cfg_.num_shards >= 1, "gcached needs at least one shard");
     GC_REQUIRE(cfg_.capacity >= cfg_.num_shards,
                "gcached needs at least one item of capacity per shard");
-    GC_REQUIRE((cfg_.backoff.base_sleep_ns &
-                (cfg_.backoff.base_sleep_ns - 1)) == 0 &&
-                   cfg_.backoff.base_sleep_ns > 0,
-               "backoff base_sleep_ns must be a power of two");
     GC_REQUIRE(cfg_.mshr_entries >= 1,
                "gcached needs at least one MSHR entry per shard");
     shards_.reserve(cfg_.num_shards);
@@ -223,7 +218,7 @@ class ShardedCache final : public ConcurrentCache {
 
   bool contains(ClientContext& ctx, ItemId item, BlockId block) override {
     Shard& shard = *shards_[shard_of_block(block, shards_.size())];
-    SharedShardGuard guard(shard.lock, ctx, cfg_.backoff);
+    ShardGuard guard(shard.lock, ctx);
     return shard.cache.contains(item);
   }
   GC_HOT_REGION_END(gcached_access)
@@ -235,7 +230,7 @@ class ShardedCache final : public ConcurrentCache {
     SimStats total;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       ClientContext ctx;
-      ShardGuard guard(shard->lock, ctx, cfg_.backoff);
+      ShardGuard guard(shard->lock, ctx);
       SimStats snapshot = shard->partial;
       detail::fast_finalize<Policy>(shard->cache, snapshot, shard->accesses);
       total += snapshot;
@@ -254,7 +249,7 @@ class ShardedCache final : public ConcurrentCache {
   std::size_t shard_occupancy(std::size_t s) override {
     GC_REQUIRE(s < shards_.size(), "shard index out of range");
     ClientContext ctx;
-    ShardGuard guard(shards_[s]->lock, ctx, cfg_.backoff);
+    ShardGuard guard(shards_[s]->lock, ctx);
     return shards_[s]->cache.occupancy();
   }
 
@@ -303,6 +298,37 @@ class ShardedCache final : public ConcurrentCache {
     WriterScope& operator=(const WriterScope&) = delete;
   };
 
+  /// gcmon's view of one shard hold: the lock counters it added to the
+  /// caller's ClientContext. Snapshot before the ShardGuard, publish() while
+  /// it is held (GC_MON_SHARD_ADD's single-writer rule). The counters move
+  /// only inside ShardLock::lock, so the delta is exactly this acquisition's;
+  /// backoff_rounds counts its failed attempts. `Mon` is the GC_MON_ATLAS
+  /// hoist (a constexpr null under GCACHING_OBS=OFF, where this is empty).
+  struct MonLockDelta {
+    std::uint64_t acq_before = 0, fail_before = 0, boff_before = 0;
+    GC_HOT_REGION_BEGIN(gcached_mon_lock_delta)
+    template <typename Mon>
+    MonLockDelta([[maybe_unused]] Mon mon, const ClientContext& ctx) {
+      if (GC_MON_ATTACHED(mon)) {
+        acq_before = ctx.lock_acquisitions;
+        fail_before = ctx.backoff_rounds;
+        boff_before = ctx.backoff_ns;
+      }
+    }
+    template <typename Mon>
+    void publish([[maybe_unused]] Mon mon, [[maybe_unused]] std::size_t si,
+                 [[maybe_unused]] const ClientContext& ctx) const {
+      if (GC_MON_ATTACHED(mon)) {
+        GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
+                         ctx.lock_acquisitions - acq_before);
+        GC_MON_SHARD_ADD(mon, si, trylock_failures,
+                         ctx.backoff_rounds - fail_before);
+        GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - boff_before);
+      }
+    }
+    GC_HOT_REGION_END(gcached_mon_lock_delta)
+  };
+
   GC_HOT_REGION_BEGIN(gcached_access_sync)
   /// The legacy lock-held transition: classify + transition + (for sync
   /// mode) sleep the fill while still holding the shard. Also the shared
@@ -315,13 +341,8 @@ class ShardedCache final : public ConcurrentCache {
     // atomics — one predictable branch when no atlas is attached, zero code
     // under GCACHING_OBS=OFF (GC_MON_ATTACHED is then compile-time false).
     GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
-    [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-    if (GC_MON_ATTACHED(mon)) {
-      mon_acq = ctx.lock_acquisitions;
-      mon_try = ctx.backoff_rounds;  // == failed try_locks, see shard_lock
-      mon_boff = ctx.backoff_ns;
-    }
-    ShardGuard guard(shard.lock, ctx, cfg_.backoff);
+    const MonLockDelta lock_delta(mon, ctx);
+    ShardGuard guard(shard.lock, ctx);
     WriterScope writer(shard);
     // fast_step maintains only the non-derivable counters (misses, spatial
     // hits); hits are 1 - miss per access, and sideloads accumulate in
@@ -338,11 +359,7 @@ class ShardedCache final : public ConcurrentCache {
       GC_MON_SHARD_ADD(mon, si, misses, miss_delta);
       GC_MON_SHARD_ADD(mon, si, sideloads,
                        shard.cache.sideloads() - sideloads_before);
-      GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                       ctx.lock_acquisitions - mon_acq);
-      GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                       ctx.backoff_rounds - mon_try);
-      GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
+      lock_delta.publish(mon, si, ctx);
       GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
     }
     if (cfg_.fill_latency_ns != 0 && shard.partial.misses != misses_before) {
@@ -376,21 +393,10 @@ class ShardedCache final : public ConcurrentCache {
       Mshr* fill_entry = nullptr;
       bool unqueued_fill = false;
       {
-        [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-        if (GC_MON_ATTACHED(mon)) {
-          mon_acq = ctx.lock_acquisitions;
-          mon_try = ctx.backoff_rounds;
-          mon_boff = ctx.backoff_ns;
-        }
-        ShardGuard guard(shard.lock, ctx, cfg_.backoff);
+        const MonLockDelta lock_delta(mon, ctx);
+        ShardGuard guard(shard.lock, ctx);
         WriterScope writer(shard);
-        if (GC_MON_ATTACHED(mon)) {
-          GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                           ctx.lock_acquisitions - mon_acq);
-          GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                           ctx.backoff_rounds - mon_try);
-          GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
-        }
+        lock_delta.publish(mon, si, ctx);
         if (shard.cache.contains(item)) {
           if (waited_ns == 0) {
             // Plain hit: the exact fast_step hit arm (its own contains
@@ -465,13 +471,8 @@ class ShardedCache final : public ConcurrentCache {
                    [[maybe_unused]] std::size_t si, ItemId item, BlockId block,
                    Mshr* fill_entry, [[maybe_unused]] bool unqueued_fill) {
     GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
-    [[maybe_unused]] std::uint64_t mon_acq = 0, mon_try = 0, mon_boff = 0;
-    if (GC_MON_ATTACHED(mon)) {
-      mon_acq = ctx.lock_acquisitions;
-      mon_try = ctx.backoff_rounds;
-      mon_boff = ctx.backoff_ns;
-    }
-    ShardGuard guard(shard.lock, ctx, cfg_.backoff);
+    const MonLockDelta lock_delta(mon, ctx);
+    ShardGuard guard(shard.lock, ctx);
     WriterScope writer(shard);
     [[maybe_unused]] const std::uint64_t sideloads_before =
         shard.cache.sideloads();
@@ -502,11 +503,7 @@ class ShardedCache final : public ConcurrentCache {
     if (GC_MON_ATTACHED(mon)) {
       GC_MON_SHARD_ADD(mon, si, sideloads,
                        shard.cache.sideloads() - sideloads_before);
-      GC_MON_SHARD_ADD(mon, si, lock_acquisitions,
-                       ctx.lock_acquisitions - mon_acq);
-      GC_MON_SHARD_ADD(mon, si, trylock_failures,
-                       ctx.backoff_rounds - mon_try);
-      GC_MON_SHARD_ADD(mon, si, backoff_ns, ctx.backoff_ns - mon_boff);
+      lock_delta.publish(mon, si, ctx);
       GC_MON_SHARD_SET(mon, si, mshr_inflight, shard.mshr.inflight());
       GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
     }

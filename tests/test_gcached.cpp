@@ -245,6 +245,36 @@ TEST(GcachedCli, ShardsAreValidatedBeforeThreads) {
   EXPECT_EQ(msg.find("--threads"), std::string::npos) << msg;
 }
 
+// ---- ShardLock ---------------------------------------------------------------
+
+TEST(GcachedShardLock, GuardSerializesIncrementsAndCountsEveryAcquisition) {
+  // A plain (non-atomic) counter bumped under ShardGuard by 4 threads: any
+  // lost update means two holders overlapped, and TSan (label `gcached`)
+  // flags the unordered accesses if the acquire/release pairing is wrong.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kIncrements = 20'000;
+  ShardLock lock;
+  std::uint64_t counter = 0;
+  std::vector<ClientContext> ctxs;
+  for (std::size_t t = 0; t < kThreads; ++t) ctxs.emplace_back(t + 1);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kIncrements; ++i) {
+        ShardGuard guard(lock, ctxs[t]);
+        ++counter;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(counter, kThreads * kIncrements);
+  for (const ClientContext& ctx : ctxs) {
+    EXPECT_EQ(ctx.lock_acquisitions, kIncrements);
+    EXPECT_LE(ctx.lock_contended, ctx.lock_acquisitions);
+    EXPECT_GE(ctx.backoff_rounds, ctx.lock_contended);
+  }
+}
+
 // ---- Concurrent runs (tsan teeth) -------------------------------------------
 
 TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
@@ -280,9 +310,9 @@ TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
 }
 
 TEST(GcachedConcurrent, ContainsProbesRunAgainstWriters) {
-  // Shared-mode probes racing exclusive-mode access transitions: correctness
-  // is "no crash / no race" (TSan) plus the probe only ever seeing items of
-  // the block's own shard.
+  // Residency probes racing access transitions. Both take the shard's one
+  // exclusive lock (there is no shared mode), so correctness is "no crash /
+  // no race" (TSan) plus the writers' op count surviving the probes.
   const Workload w = small_zipf();
   GcachedConfig cfg;
   cfg.num_shards = 4;
@@ -301,9 +331,9 @@ TEST(GcachedConcurrent, ContainsProbesRunAgainstWriters) {
 
 TEST(GcachedConcurrent, ContentionCountersFireWhenFillsHoldTheShard) {
   // One shard, two closed-loop clients, a 100us SYNC fill on every miss: the
-  // non-filling client must observe at least one failed try_lock, and every
-  // contended acquisition spends at least one backoff round. Sync mode is
-  // pinned explicitly — it is the mode whose fills hold the shard; async
+  // non-filling client must observe at least one failed first exchange, and
+  // every contended acquisition spends at least one backoff round. Sync mode
+  // is pinned explicitly — it is the mode whose fills hold the shard; async
   // fills release it, which is what GcachedMshr tests instead.
   const Workload w = small_zipf();
   GcachedConfig cfg;

@@ -241,13 +241,13 @@ TEST(GclintHotRegion, ShardLockHomeAndHelpersAreLegal) {
   const std::vector<SourceFile> files = {
       {"src/gcached/shard_lock.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(shard_lock_acquire)
-class ShardLock { std::shared_mutex mu_; };
+class ShardLock { std::mutex mu_; };
 GC_HOT_REGION_END(shard_lock_acquire)
 )cpp"},
       {"src/gcached/sharded_cache.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(gcached_access)
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   int mutex_free_count = 0;
   (void)mutex_free_count;
 }
@@ -601,8 +601,8 @@ TEST(GclintLockDiscipline, SleepUnderShardGuardIsFlagged) {
   // sanctioning ALLOW).
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
 namespace g {
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   std::this_thread::sleep_for(std::chrono::nanoseconds(100));
 }
 }
@@ -617,10 +617,10 @@ inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
 
 TEST(GclintLockDiscipline, SecondGuardIsDeadlockRisk) {
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void transfer(Shard& a, Shard& b, ClientContext& ctx,
-                     BackoffConfig cfg) {
-  ShardGuard ga(a.lock, ctx, cfg);
-  ShardGuard gb(b.lock, ctx, cfg);
+inline void transfer(Shard& a, Shard& b,
+                     ClientContext& ctx) {
+  ShardGuard ga(a.lock, ctx);
+  ShardGuard gb(b.lock, ctx);
 }
 )cpp"}};
   const auto hits = findings_for_rule(gclint::lint(files), "lock-discipline");
@@ -632,8 +632,8 @@ inline void transfer(Shard& a, Shard& b, ClientContext& ctx,
 
 TEST(GclintLockDiscipline, AllocationAndGrowthUnderGuardAreFlagged) {
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void fill(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void fill(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   shard.items.push_back(1);
   auto p = std::make_unique<int>(2);
 }
@@ -650,8 +650,8 @@ inline void fill(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
 
 TEST(GclintLockDiscipline, FileIoUnderGuardIsFlagged) {
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void dump(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  SharedShardGuard guard(shard.lock, ctx, cfg);
+inline void dump(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   std::ofstream out(shard.path);
 }
 )cpp"}};
@@ -666,9 +666,9 @@ TEST(GclintLockDiscipline, GuardDiesAtItsClosingBrace) {
   // dies at the loop's closing brace, so blocking work after the loop is
   // legal, and a free function named like a growth member is not growth.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
-inline void collect(Shards& shards, ClientContext& ctx, BackoffConfig cfg) {
+inline void collect(Shards& shards, ClientContext& ctx) {
   for (auto& shard : shards) {
-    ShardGuard guard(shard.lock, ctx, cfg);
+    ShardGuard guard(shard.lock, ctx);
     shard.apply();
     insert(1);
   }
@@ -680,8 +680,8 @@ inline void collect(Shards& shards, ClientContext& ctx, BackoffConfig cfg) {
 
 TEST(GclintLockDiscipline, LockHomeAndTestsAreExempt) {
   const char* kGuardThenSleep = R"cpp(
-inline void acquire(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void acquire(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   std::this_thread::sleep_for(std::chrono::nanoseconds(64));
 }
 )cpp";
@@ -889,8 +889,8 @@ TEST(GclintAllowHygiene, LockDisciplineCannotBeAllowed) {
   // it and allow-hygiene flags the annotation as ineffective.
   const std::vector<SourceFile> files = {{"src/gcached/cache.hpp", R"cpp(
 GC_HOT_REGION_BEGIN(gcached_access)
-inline void access(Shard& shard, ClientContext& ctx, BackoffConfig cfg) {
-  ShardGuard guard(shard.lock, ctx, cfg);
+inline void access(Shard& shard, ClientContext& ctx) {
+  ShardGuard guard(shard.lock, ctx);
   // GCLINT-ALLOW(lock-discipline, hot-region-blocking): simulated fill
   std::this_thread::sleep_for(std::chrono::nanoseconds(1));
 }

@@ -44,9 +44,9 @@ void add(std::vector<Finding>& out, const FileModel& m, std::size_t line,
 
 const std::set<std::string>& raw_lock_tokens() {
   // Raw synchronization primitives banned from hot regions: per-access
-  // locking must go through the gcached shard-lock helpers (ShardGuard /
-  // SharedShardGuard), which bundle try-lock-first, randomized backoff and
-  // contention telemetry. shard_lock.hpp itself is the sanctioned home.
+  // locking must go through the gcached shard-lock helper (ShardGuard),
+  // which bundles the one-word lock, randomized backoff and contention
+  // telemetry. shard_lock.hpp itself is the sanctioned home.
   static const std::set<std::string> kTokens = {
       "mutex",        "shared_mutex",       "recursive_mutex",
       "timed_mutex",  "shared_timed_mutex", "lock_guard",
@@ -219,7 +219,7 @@ void check_hot_region_content(const FileModel& m, std::vector<Finding>& out) {
         add(out, m, t.line, kRawLock,
             "'" + t.text + "' inside hot region '" + r->label +
                 "' — per-access locking must go through the shard-lock "
-                "helpers in src/gcached/shard_lock.hpp (try-lock + "
+                "helpers in src/gcached/shard_lock.hpp (one-word lock + "
                 "randomized backoff + contention telemetry)");
       }
       if (blocking_calls().count(t.text) > 0 && is_call_at(m.tokens, i) &&
@@ -279,7 +279,7 @@ void check_lock_discipline(const FileModel& m, std::vector<Finding>& out) {
         continue;
       }
       if (t.kind != Tok::kIdent) continue;
-      if (t.text == "ShardGuard" || t.text == "SharedShardGuard") {
+      if (t.text == "ShardGuard") {
         const std::size_t j = next_code(m.tokens, i);
         if (j == std::string::npos || m.tokens[j].kind != Tok::kIdent)
           continue;  // type mention, not a named guard declaration
@@ -896,9 +896,9 @@ const std::vector<RuleInfo>& rule_catalog() {
        "variants) inside a hot region outside gcmon and shard_lock.hpp; "
        "timing belongs to the monitoring layer."},
       {"lock-discipline",
-       "While a ShardGuard/SharedShardGuard is live: no blocking calls, no "
-       "file I/O, no allocation or container growth, no second shard guard "
-       "(deadlock risk). Non-suppressible — no blocking under a guard, "
+       "While a ShardGuard is live: no blocking calls, no file I/O, no "
+       "allocation or container growth, no second shard guard (deadlock "
+       "risk). Non-suppressible — no blocking under a guard, "
        "period; fills go through the MSHR release/re-acquire protocol."},
       {"hot-region-transitive",
        "Allocation/throw/raw-obs/raw-lock bans follow the call graph: they "
