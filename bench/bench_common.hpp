@@ -96,9 +96,16 @@ inline std::string first_line_of_command(const char* cmd) {
   return line.empty() ? "unknown" : line;
 }
 
-/// Short git commit of the working tree the bench binary runs in.
+/// Short git commit of the working tree the bench binary runs in, with a
+/// `-dirty` suffix when the tree has uncommitted changes (numbers from a
+/// dirty tree do not belong to the commit they would otherwise name).
 inline std::string current_git_commit() {
-  return first_line_of_command("git rev-parse --short HEAD 2>/dev/null");
+  const std::string commit =
+      first_line_of_command("git rev-parse --short HEAD 2>/dev/null");
+  if (commit == "unknown") return commit;
+  const bool dirty =
+      first_line_of_command("git status --porcelain 2>/dev/null") != "unknown";
+  return dirty ? commit + "-dirty" : commit;
 }
 
 /// Host identity for cross-machine staleness detection.

@@ -11,7 +11,8 @@
 // with max error <= 0.02 on a >= 10^8-access trace.
 //
 // Timings only mean something under GC_FAST_SIM (the `fast` preset): in
-// checking builds the stack path re-runs the lane engine as a cross-check.
+// checking builds the stack path re-runs the per-cell engine as a
+// cross-check.
 // The JSON records which configuration ran. Output: aligned table,
 // optional CSV, and BENCH_sample.json. See docs/PERF.md.
 #include <algorithm>

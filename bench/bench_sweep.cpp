@@ -1,22 +1,21 @@
-// Sweep-engine modes: per-cell vs capacity-batched vs stack-column.
+// Sweep engine: per-cell vs stack-column, plus one run_sweep wall.
 //
 // Two measurements, both asserting bit-identical SimStats before reporting:
 //
-//   * column — one (workload, policy) row over a geometric capacity column,
-//     timed three ways: per-cell `simulate_fast_spec` (one trace pass per
-//     capacity), the lane-batched `simulate_column_spec` with the stack
-//     path disabled (ONE trace pass, one cache lane per capacity), and the
-//     full dispatcher (stack policies collapse into a single stack-distance
-//     pass). The acceptance headline is the stack path's speedup over
-//     per-cell on the >= 16-capacity item-lru column.
-//   * grid — a mixed-cost policy grid through `run_sweep`, batch off
-//     (per-cell cells in static chunks) vs batch on (whole rows, scheduled
-//     longest-estimated-first via estimated_sim_cost).
+//   * column — one (workload, stack policy) row over a geometric capacity
+//     column, timed two ways: per-cell `simulate_fast_spec` (one trace pass
+//     per capacity) and `simulate_column_spec` (ONE stack-distance pass for
+//     the whole column). The headline is the stack path's speedup over
+//     per-cell on the 64-capacity columns.
+//   * grid — a mixed-cost policy grid through `run_sweep` (whole rows,
+//     scheduled longest-estimated-first via estimated_sim_cost), checked
+//     cell by cell against per-cell `simulate_fast_spec`.
 //
-// Note: in checking builds the stack path re-runs the lane engine as a
+// Note: in checking builds the stack path re-runs the per-cell engine as a
 // cross-check, so its timings only mean something under GC_FAST_SIM (the
-// `fast` preset); the JSON records which configuration ran. Output:
-// aligned tables, optional CSV, and BENCH_sweep.json. See docs/PERF.md.
+// `fast` preset); the JSON records which configuration ran, plus the git
+// commit and machine it ran on. Output: aligned tables, optional CSV, and
+// BENCH_sweep.json. See docs/PERF.md.
 #include <algorithm>
 #include <chrono>
 #include <fstream>
@@ -91,16 +90,13 @@ struct ColumnResult {
   std::size_t accesses = 0;
   std::size_t num_capacities = 0;
   double per_cell_s = 0.0;
-  double lane_s = 0.0;
-  double stack_s = 0.0;  // 0 when the spec has no stack path
-  bool has_stack = false;
+  double stack_s = 0.0;
 };
 
-/// Times the three column evaluations of one row and checks identity.
+/// Times both column evaluations of one row and checks identity.
 ColumnResult bench_column(const Options& opts, const std::string& spec,
                           const std::string& workload_name, const Workload& w,
-                          const std::vector<std::size_t>& capacities,
-                          bool has_stack) {
+                          const std::vector<std::size_t>& capacities) {
   const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
   const std::span<const BlockId> ids_span(ids);
 
@@ -109,13 +105,11 @@ ColumnResult bench_column(const Options& opts, const std::string& spec,
   r.policy = spec;
   r.accesses = w.trace.size();
   r.num_capacities = capacities.size();
-  r.has_stack = has_stack;
   r.per_cell_s = 1e300;
-  r.lane_s = 1e300;
   r.stack_s = 1e300;
 
   std::vector<SimStats> per_cell(capacities.size());
-  std::vector<SimStats> lanes, stack;
+  std::vector<SimStats> stack;
   for (int rep = 0; rep < opts.repeats; ++rep) {
     {
       const auto t0 = std::chrono::steady_clock::now();
@@ -126,20 +120,11 @@ ColumnResult bench_column(const Options& opts, const std::string& spec,
     }
     {
       const auto t0 = std::chrono::steady_clock::now();
-      lanes = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities,
-                                   /*allow_stack=*/false);
-      r.lane_s = std::min(r.lane_s, seconds_since(t0));
-    }
-    if (has_stack) {
-      const auto t0 = std::chrono::steady_clock::now();
-      stack = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities,
-                                   /*allow_stack=*/true);
+      stack = simulate_column_spec(spec, *w.map, w.trace, ids_span, capacities);
       r.stack_s = std::min(r.stack_s, seconds_since(t0));
     }
   }
-  require_identical(per_cell, lanes, spec + " per-cell vs lanes");
-  if (has_stack) require_identical(per_cell, stack, spec + " per-cell vs stack");
-  if (!has_stack) r.stack_s = 0.0;
+  require_identical(per_cell, stack, spec + " per-cell vs stack");
   return r;
 }
 
@@ -147,8 +132,7 @@ struct GridResult {
   std::size_t cells = 0;
   std::uint64_t total_accesses = 0;
   std::size_t threads = 0;
-  double per_cell_s = 0.0;
-  double batched_s = 0.0;
+  double sweep_s = 0.0;
 };
 
 GridResult bench_grid(const Options& opts, const std::vector<Workload>& ws,
@@ -165,29 +149,22 @@ GridResult bench_grid(const Options& opts, const std::vector<Workload>& ws,
   for (const Workload& w : ws)
     r.total_accesses += w.trace.size() * policies.size() * capacities.size();
   r.threads = ThreadPool(opts.threads).num_threads();
-  r.per_cell_s = 1e300;
-  r.batched_s = 1e300;
+  r.sweep_s = 1e300;
 
-  std::vector<sim::SweepCell> baseline, batched;
+  std::vector<sim::SweepCell> cells;
   for (int rep = 0; rep < opts.repeats; ++rep) {
-    {
-      spec.batch_columns = false;
-      const auto t0 = std::chrono::steady_clock::now();
-      baseline = sim::run_sweep(spec);
-      r.per_cell_s = std::min(r.per_cell_s, seconds_since(t0));
-    }
-    {
-      spec.batch_columns = true;
-      const auto t0 = std::chrono::steady_clock::now();
-      batched = sim::run_sweep(spec);
-      r.batched_s = std::min(r.batched_s, seconds_since(t0));
-    }
+    const auto t0 = std::chrono::steady_clock::now();
+    cells = sim::run_sweep(spec);
+    r.sweep_s = std::min(r.sweep_s, seconds_since(t0));
   }
-  GC_REQUIRE(baseline.size() == batched.size(), "grid size mismatch");
-  for (std::size_t i = 0; i < baseline.size(); ++i)
-    GC_REQUIRE(baseline[i].stats == batched[i].stats &&
-                   baseline[i].capacity == batched[i].capacity,
+  GC_REQUIRE(cells.size() == r.cells, "grid size mismatch");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const sim::SweepCell& cell = cells[i];
+    const Workload& w = ws[cell.workload_index];
+    GC_REQUIRE(cell.stats == simulate_fast_spec(policies[cell.policy_index], w,
+                                                cell.capacity),
                "grid cell mismatch at " + std::to_string(i));
+  }
   return r;
 }
 
@@ -197,6 +174,8 @@ void write_json(const Options& opts, const std::vector<ColumnResult>& columns,
   GC_REQUIRE(out.good(), "cannot open " + opts.json_path + " for writing");
   out << "{\n"
       << "  \"bench\": \"sweep\",\n"
+      << "  \"git_commit\": \"" << current_git_commit() << "\",\n"
+      << "  \"machine\": \"" << machine_name() << "\",\n"
       << "  \"gc_fast_sim\": " << (kHotChecksEnabled ? "false" : "true")
       << ",\n"
       << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"
@@ -208,21 +187,16 @@ void write_json(const Options& opts, const std::vector<ColumnResult>& columns,
         << c.policy << "\", \"accesses\": " << c.accesses
         << ", \"num_capacities\": " << c.num_capacities
         << ", \"per_cell_seconds\": " << c.per_cell_s
-        << ", \"lane_seconds\": " << c.lane_s
-        << ", \"lane_speedup\": " << c.per_cell_s / c.lane_s;
-    if (c.has_stack)
-      out << ", \"stack_seconds\": " << c.stack_s
-          << ", \"stack_speedup\": " << c.per_cell_s / c.stack_s;
-    out << ", \"identical\": true}" << (i + 1 < columns.size() ? "," : "")
+        << ", \"stack_seconds\": " << c.stack_s
+        << ", \"stack_speedup\": " << c.per_cell_s / c.stack_s
+        << ", \"identical\": true}" << (i + 1 < columns.size() ? "," : "")
         << "\n";
   }
   out << "  ],\n"
       << "  \"grid\": {\"cells\": " << grid.cells
       << ", \"total_accesses\": " << grid.total_accesses
       << ", \"threads\": " << grid.threads
-      << ", \"per_cell_seconds\": " << grid.per_cell_s
-      << ", \"batched_seconds\": " << grid.batched_s
-      << ", \"batched_speedup\": " << grid.per_cell_s / grid.batched_s
+      << ", \"sweep_seconds\": " << grid.sweep_s
       << ", \"identical\": true}\n"
       << "}\n";
 }
@@ -246,36 +220,25 @@ int run(int argc, char** argv) {
   for (std::size_t i = 1; i <= 64; ++i) caps64.push_back(48 * i);
 
   TableSink column_table(
-      table_opts, "Capacity-column modes (seconds, min of repeats)",
+      table_opts, "Capacity-column engines (seconds, min of repeats)",
       "sweep_columns",
-      {"workload", "policy", "caps", "per_cell_s", "lane_s", "lane_x",
-       "stack_s", "stack_x"});
+      {"workload", "policy", "caps", "per_cell_s", "stack_s", "stack_x"});
   std::vector<ColumnResult> columns;
-  // item-lru and block-lru have stack-distance columns; item-lfu is the
-  // slowest lane-only policy and shows what pass-sharing alone buys.
-  struct ColumnCase {
-    std::string spec;
-    bool has_stack;
-    const std::vector<std::size_t>* caps;
-  };
-  for (const auto& [spec, has_stack, caps] : std::vector<ColumnCase>{
-           {"item-lru", true, &caps16},
-           {"item-lru", true, &caps64},
-           {"block-lru", true, &caps16},
-           {"block-lru", true, &caps64},
-           {"item-lfu", false, &caps16}}) {
-    const ColumnResult r =
-        bench_column(opts, spec, "zipf", zipf, *caps, has_stack);
-    column_table.add_row(
-        {r.workload, r.policy, fmti(r.num_capacities), fmt(r.per_cell_s, 4),
-         fmt(r.lane_s, 4), fmtr(r.per_cell_s / r.lane_s),
-         r.has_stack ? fmt(r.stack_s, 4) : "-",
-         r.has_stack ? fmtr(r.per_cell_s / r.stack_s) : "-"});
+  for (const auto& [spec, caps] :
+       std::vector<std::pair<std::string, const std::vector<std::size_t>*>>{
+           {"item-lru", &caps16},
+           {"item-lru", &caps64},
+           {"block-lru", &caps16},
+           {"block-lru", &caps64}}) {
+    const ColumnResult r = bench_column(opts, spec, "zipf", zipf, *caps);
+    column_table.add_row({r.workload, r.policy, fmti(r.num_capacities),
+                          fmt(r.per_cell_s, 4), fmt(r.stack_s, 4),
+                          fmtr(r.per_cell_s / r.stack_s)});
     columns.push_back(r);
   }
   column_table.flush();
 
-  // Mixed-cost grid: the ~70x policy skew is what the cost-aware row
+  // Mixed-cost grid: the policy cost skew is what the longest-first row
   // schedule exists for. Two workloads keep the block-id precompute
   // parallelism honest too.
   const std::size_t grid_len = opts.quick ? 100'000 : 1'000'000;
@@ -288,14 +251,13 @@ int run(int argc, char** argv) {
   const GridResult grid =
       bench_grid(opts, grid_workloads, grid_policies, caps16);
 
-  TableSink grid_table(table_opts,
-                       "Mixed lfu+lru grid through run_sweep (seconds)",
-                       "sweep_grid",
-                       {"cells", "threads", "per_cell_s", "batched_s",
-                        "speedup"});
-  grid_table.add_row({fmti(grid.cells), fmti(grid.threads),
-                      fmt(grid.per_cell_s, 4), fmt(grid.batched_s, 4),
-                      fmtr(grid.per_cell_s / grid.batched_s)});
+  TableSink grid_table(
+      table_opts, "Mixed lfu+lru grid through run_sweep (seconds)",
+      "sweep_grid", {"cells", "threads", "sweep_s", "Macc/s"});
+  grid_table.add_row(
+      {fmti(grid.cells), fmti(grid.threads), fmt(grid.sweep_s, 4),
+       fmt(static_cast<double>(grid.total_accesses) / grid.sweep_s * 1e-6,
+           1)});
   grid_table.flush();
 
   write_json(opts, columns, grid);

@@ -19,8 +19,6 @@
 //     hit is statically temporal and the hit path reduces to a clock tick.
 //   * kEvictsOutsideMiss — the policy evicts during hits, so eviction stats
 //     must be snapshotted per miss transaction.
-//   * kIsStackPolicy — obeys Mattson inclusion; capacity sweeps may use one
-//     stack-distance pass instead of per-capacity simulation.
 //   * kBatchesSameBlockRuns — the policy also defines
 //     `on_hit_run(std::span<const ItemId> items)`, equivalent to calling
 //     on_hit per element, and its on_hit never changes residency (no loads —

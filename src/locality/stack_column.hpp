@@ -25,9 +25,10 @@
 // Eligibility: block-lru additionally requires a uniform partition (every
 // block exactly B items) so that "capacity k holds floor(k/B) blocks" models
 // the policy's evict-until-fits loop; `block_column_supported` reports it.
-// The factory's column dispatcher (policies/factory.cpp) uses these behind
-// the `kIsStackPolicy` trait and, in checking builds, cross-checks the
-// derivation against the shared-pass lane engine cell by cell.
+// The factory's column dispatcher (simulate_column_spec in
+// policies/factory.cpp) takes these for item-lru and eligible block-lru
+// specs and, in checking builds, cross-checks the derivation cell by cell
+// against the per-cell simulate_fast_spec.
 #pragma once
 
 #include <span>

@@ -24,11 +24,11 @@
 //                                        when compiled out — lets an engine
 //                                        keep a tick-free copy of its hot
 //                                        loop for the idle/off cases
-//   GC_OBS_TIMELINE_OPEN(var, caps, n)   size lanes / resolve auto window
-//   GC_OBS_TICK(var, lane, ...)          per-access; `...` (a live SimStats
+//   GC_OBS_TIMELINE_OPEN(var, cap, n)    reset / resolve auto window
+//   GC_OBS_TICK(var, ...)                per-access; `...` (a live SimStats
 //                                        expression) is evaluated only on a
 //                                        window boundary
-//   GC_OBS_TIMELINE_CLOSE(var, lane, f)  flush partial window, pin totals
+//   GC_OBS_TIMELINE_CLOSE(var, f)        flush partial window, pin totals
 //   GC_OBS_SPAN(var, name, cat)          RAII trace span for this scope
 //   GC_OBS_SPAN_ARG(var, key, val)       attach an argument to a span
 //   GC_OBS_THREAD_NAME(name)             label the thread in the trace view
@@ -59,26 +59,23 @@ inline constexpr bool kObsEnabled = false;
 
 #define GC_OBS_ATTACHED(var) ((var) != nullptr)
 
-// `caps` is deliberately not parenthesized: call sites may pass a braced
-// single-capacity list like `{cache.capacity()}` (initializer_list overload),
-// which parentheses would turn into an invalid expression.
-#define GC_OBS_TIMELINE_OPEN(var, caps, total)        \
-  do {                                                \
-    if ((var) != nullptr) (var)->open(caps, (total)); \
+#define GC_OBS_TIMELINE_OPEN(var, capacity, total)          \
+  do {                                                      \
+    if ((var) != nullptr) (var)->open((capacity), (total)); \
   } while (0)
 
 // The variadic tail is the live-stats expression; it is only evaluated when
 // tick_due() reports a window boundary, so the per-access cost stays at one
 // null test plus one counter increment.
-#define GC_OBS_TICK(var, lane, ...)                       \
-  do {                                                    \
-    if ((var) != nullptr && (var)->tick_due(lane))        \
-      (var)->record((lane), (__VA_ARGS__));               \
+#define GC_OBS_TICK(var, ...)                       \
+  do {                                              \
+    if ((var) != nullptr && (var)->tick_due())      \
+      (var)->record((__VA_ARGS__));                 \
   } while (0)
 
-#define GC_OBS_TIMELINE_CLOSE(var, lane, final_totals)             \
-  do {                                                             \
-    if ((var) != nullptr) (var)->close((lane), (final_totals));    \
+#define GC_OBS_TIMELINE_CLOSE(var, final_totals)           \
+  do {                                                     \
+    if ((var) != nullptr) (var)->close((final_totals));    \
   } while (0)
 
 #define GC_OBS_SPAN(var, span_name, span_cat) \
@@ -105,14 +102,14 @@ inline constexpr bool kObsEnabled = false;
 #define GC_OBS_TIMELINE(var) \
   [[maybe_unused]] constexpr decltype(nullptr) var = nullptr
 #define GC_OBS_ATTACHED(var) false
-#define GC_OBS_TIMELINE_OPEN(var, caps, total) \
-  do {                                         \
+#define GC_OBS_TIMELINE_OPEN(var, capacity, total) \
+  do {                                             \
   } while (0)
-#define GC_OBS_TICK(var, lane, ...) \
-  do {                              \
+#define GC_OBS_TICK(var, ...) \
+  do {                        \
   } while (0)
-#define GC_OBS_TIMELINE_CLOSE(var, lane, final_totals) \
-  do {                                                 \
+#define GC_OBS_TIMELINE_CLOSE(var, final_totals) \
+  do {                                           \
   } while (0)
 #define GC_OBS_SPAN(var, span_name, span_cat) \
   do {                                        \

@@ -14,15 +14,11 @@
 // un-instrumented run returns (tests/test_obs_timeline.cpp holds both
 // engines to that bit-identity).
 //
-// Lanes: `simulate_column` advances one cache per capacity through a shared
-// trace pass; each capacity records into its own lane. Single-capacity
-// engines use lane 0.
+// One timeline records one run: one cache, one capacity.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +27,7 @@
 
 namespace gcaching::obs {
 
-/// One recorded window of one lane.
+/// One recorded window of a run.
 struct TimelineWindow {
   std::uint64_t start = 0;   ///< index of the window's first access
   std::uint64_t length = 0;  ///< accesses covered (< window only when final)
@@ -54,71 +50,55 @@ class StatsTimeline {
   explicit StatsTimeline(std::uint64_t window = kAutoWindow)
       : requested_window_(window) {}
 
-  /// Cold, once per run (GC_OBS_TIMELINE_OPEN): sizes the lane set, resolves
-  /// an auto window against the trace length, and resets any previous
-  /// recording — a timeline holds the windows of the run that opened it
-  /// last. One lane per entry of `lane_capacities`.
-  void open(std::span<const std::size_t> lane_capacities,
-            std::uint64_t total_accesses);
-  void open(std::initializer_list<std::size_t> lane_capacities,
-            std::uint64_t total_accesses) {
-    open(std::span<const std::size_t>(lane_capacities.begin(),
-                                      lane_capacities.size()),
-         total_accesses);
-  }
+  /// Cold, once per run (GC_OBS_TIMELINE_OPEN): resolves an auto window
+  /// against the trace length and resets any previous recording — a
+  /// timeline holds the windows of the run that opened it last.
+  void open(std::size_t capacity, std::uint64_t total_accesses);
 
   GC_HOT_REGION_BEGIN(timeline_tick)
-  /// Hot, once per access per lane: counts the access into the open window
-  /// and reports whether it completed the window. Only then does the caller
-  /// pay for a stats snapshot (see GC_OBS_TICK).
-  bool tick_due(std::size_t lane) noexcept {
-    return ++lanes_[lane].in_window >= window_;
-  }
+  /// Hot, once per access: counts the access into the open window and
+  /// reports whether it completed the window. Only then does the caller pay
+  /// for a stats snapshot (see GC_OBS_TICK).
+  bool tick_due() noexcept { return ++in_window_ >= window_; }
   GC_HOT_REGION_END(timeline_tick)
 
   /// Once per window boundary: closes the open window against the live
   /// running totals (`live` minus the totals at the previous boundary).
-  void record(std::size_t lane, const SimStats& live);
+  void record(const SimStats& live);
 
-  /// Cold, once per run per lane (GC_OBS_TIMELINE_CLOSE): flushes a final
-  /// partial window, if any, and pins the run's final totals.
-  void close(std::size_t lane, const SimStats& final_totals);
+  /// Cold, once per run (GC_OBS_TIMELINE_CLOSE): flushes a final partial
+  /// window, if any, and pins the run's final totals.
+  void close(const SimStats& final_totals);
 
   std::uint64_t window() const noexcept { return window_; }
-  std::size_t num_lanes() const noexcept { return lanes_.size(); }
-  std::size_t lane_capacity(std::size_t lane) const;
-  const std::vector<TimelineWindow>& windows(std::size_t lane) const;
-  const SimStats& final_totals(std::size_t lane) const;
-  bool closed(std::size_t lane) const;
+  /// Cache capacity of the recorded run; 0 until a run opens the timeline.
+  std::size_t capacity() const noexcept { return capacity_; }
+  const std::vector<TimelineWindow>& windows() const noexcept { return rows_; }
+  const SimStats& final_totals() const noexcept { return final_totals_; }
+  bool closed() const noexcept { return closed_; }
 
-  /// Sum of every recorded window delta of `lane` — bit-identical to the
-  /// run's final SimStats once the lane is closed (the invariant
+  /// Sum of every recorded window delta — bit-identical to the run's final
+  /// SimStats once the timeline is closed (the invariant
   /// tests/test_obs_timeline.cpp pins for both engines).
-  SimStats window_sum(std::size_t lane) const;
+  SimStats window_sum() const;
 
   // ---- Sinks ---------------------------------------------------------------
   // CSV (util/csv, RFC 4180) and JSON-lines, one row/object per window:
-  // lane, capacity, window, start, length, raw deltas, derived rates.
+  // capacity, window, start, length, raw deltas, derived rates.
 
   void write_csv(const std::string& path) const;
   void write_jsonl(const std::string& path) const;
 
  private:
-  struct Lane {
-    std::size_t capacity = 0;
-    std::uint64_t in_window = 0;  ///< accesses since the last boundary
-    std::uint64_t seen = 0;       ///< accesses already folded into rows
-    SimStats last;                ///< running totals at the last boundary
-    SimStats final_totals;
-    bool closed = false;
-    std::vector<TimelineWindow> rows;
-  };
-
-  const Lane& checked_lane(std::size_t lane) const;
-
   std::uint64_t requested_window_;
   std::uint64_t window_ = 1;
-  std::vector<Lane> lanes_;
+  std::size_t capacity_ = 0;
+  std::uint64_t in_window_ = 0;  ///< accesses since the last boundary
+  std::uint64_t seen_ = 0;       ///< accesses already folded into rows
+  SimStats last_;                ///< running totals at the last boundary
+  SimStats final_totals_;
+  bool closed_ = false;
+  std::vector<TimelineWindow> rows_;
 };
 
 namespace detail {

@@ -22,13 +22,6 @@ class BlockLru final : public ReplacementPolicy {
  public:
   BlockLru() = default;
 
-  /// Plain LRU over the block-id stream: the resident block set satisfies
-  /// the inclusion property, so capacity columns can collapse into one
-  /// stack-distance pass (locality/stack_column.hpp) whenever the partition
-  /// is uniform; the factory's column dispatcher keys off this trait.
-  // GCLINT-TRAIT-CHECKED-BY: run_column
-  static constexpr bool kIsStackPolicy = true;
-
   void attach(const BlockMap& map, CacheContents& cache) override;
   void on_hit(ItemId item) override;
   void on_miss(ItemId item) override;

@@ -1,9 +1,10 @@
 #include "policies/factory.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
-#include <type_traits>
 
 #include "core/simulator.hpp"
 #include "locality/stack_column.hpp"
@@ -47,17 +48,34 @@ std::pair<std::string, Params> parse_spec(const std::string& spec) {
   return {name, params};
 }
 
+// Parameters are parsed with a full check: a sign, trailing junk or a
+// non-number is a malformed spec, never a wrapped or truncated value.
 std::uint64_t get_u64(const Params& p, const std::string& key,
                       std::uint64_t fallback) {
   const auto it = p.find(key);
   if (it == p.end()) return fallback;
-  return std::stoull(it->second);
+  const std::string& raw = it->second;
+  std::uint64_t v = 0;
+  const auto [end, ec] =
+      std::from_chars(raw.data(), raw.data() + raw.size(), v);
+  GC_REQUIRE(ec == std::errc() && end == raw.data() + raw.size(),
+             "policy parameter " + key +
+                 " must be a non-negative integer: " + raw);
+  return v;
 }
 
 double get_f64(const Params& p, const std::string& key, double fallback) {
   const auto it = p.find(key);
   if (it == p.end()) return fallback;
-  return std::stod(it->second);
+  const std::string& raw = it->second;
+  double v = 0.0;
+  const auto [end, ec] =
+      std::from_chars(raw.data(), raw.data() + raw.size(), v);
+  GC_REQUIRE(!raw.empty() && raw.front() != '-' && ec == std::errc() &&
+                 end == raw.data() + raw.size() && std::isfinite(v),
+             "policy parameter " + key +
+                 " must be a non-negative number: " + raw);
+  return v;
 }
 
 IblpConfig iblp_config(const Params& p, std::size_t capacity) {
@@ -79,56 +97,6 @@ SimStats run_fast(const BlockMap& map, const Trace& trace,
                   Args&&... args) {
   Policy policy(std::forward<Args>(args)...);
   return simulate_fast(map, trace, policy, capacity, block_ids);
-}
-
-/// Column analogue of run_fast: one shared trace pass for every capacity.
-/// Stack policies (kIsStackPolicy) get their column collapsed into a single
-/// stack-distance pass when eligible; in checking builds the derivation is
-/// cross-checked against the lane engine cell by cell before being trusted.
-template <typename Policy, typename MakePolicy>
-std::vector<SimStats> run_column(const BlockMap& map, const Trace& trace,
-                                 std::span<const BlockId> block_ids,
-                                 std::span<const std::size_t> capacities,
-                                 bool allow_stack, MakePolicy&& make_policy) {
-  constexpr bool kStack = [] {
-    if constexpr (requires { Policy::kIsStackPolicy; })
-      return Policy::kIsStackPolicy;
-    else
-      return false;
-  }();
-  if constexpr (kStack) {
-    static_assert(std::is_same_v<Policy, ItemLru> ||
-                      std::is_same_v<Policy, BlockLru>,
-                  "no stack-column derivation registered for this policy");
-    const bool eligible =
-        std::is_same_v<Policy, ItemLru> || locality::block_column_supported(map);
-    if (allow_stack && eligible) {
-      GC_OBS_SPAN(span, "stack_column_pass", "column");
-      GC_OBS_SPAN_ARG(span, "capacities", std::to_string(capacities.size()));
-      GC_OBS_COUNT("column.stack_fast_path", 1);
-      std::vector<SimStats> derived;
-      if constexpr (std::is_same_v<Policy, ItemLru>)
-        derived = locality::item_lru_column(map, trace, capacities);
-      else
-        derived = locality::block_lru_column(map, trace, block_ids, capacities);
-      if constexpr (kHotChecksEnabled) {
-        // Detached: stack-collapsed columns record no timeline in ANY build,
-        // so the checking replay must not either.
-        const obs::TimelineDetachScope no_timeline;
-        const std::vector<SimStats> lanes = simulate_column<Policy>(
-            map, trace, capacities, block_ids, make_policy);
-        for (std::size_t i = 0; i < lanes.size(); ++i)
-          GC_CHECK(derived[i] == lanes[i],
-                   "stack-column derivation diverged from the lane engine");
-      }
-      return derived;
-    }
-  }
-  GC_OBS_SPAN(span, "lane_column_pass", "column");
-  GC_OBS_SPAN_ARG(span, "capacities", std::to_string(capacities.size()));
-  GC_OBS_COUNT("column.lane_engine", 1);
-  return simulate_column<Policy>(map, trace, capacities, block_ids,
-                                 make_policy);
 }
 
 }  // namespace
@@ -249,98 +217,41 @@ SimStats simulate_fast_spec(const std::string& spec, const Workload& workload,
 
 std::vector<SimStats> simulate_column_spec(
     const std::string& spec, const BlockMap& map, const Trace& trace,
-    std::span<const BlockId> block_ids, std::span<const std::size_t> capacities,
-    bool allow_stack) {
-  const auto [name, params] = parse_spec(spec);
-  const auto col = [&]<typename Policy>(std::type_identity<Policy>,
-                                        auto&& make_policy) {
-    return run_column<Policy>(map, trace, block_ids, capacities, allow_stack,
-                              make_policy);
+    std::span<const BlockId> block_ids,
+    std::span<const std::size_t> capacities) {
+  // Whole-column entry point: a timeline records single runs only, so none
+  // of the runs below (nor the checking replay) records into one.
+  const obs::TimelineDetachScope no_timeline;
+  const std::string name = parse_spec(spec).first;
+  const bool stack = name == "item-lru" ||
+                     (name == "block-lru" &&
+                      locality::block_column_supported(map));
+  const auto per_cell = [&](std::size_t capacity) {
+    return simulate_fast_spec(spec, map, trace, block_ids, capacity);
   };
-  if (name == "item-lru")
-    return col(std::type_identity<ItemLru>{},
-               [](std::size_t) { return ItemLru(); });
-  if (name == "item-fifo")
-    return col(std::type_identity<ItemFifo>{},
-               [](std::size_t) { return ItemFifo(); });
-  if (name == "item-lfu")
-    return col(std::type_identity<ItemLfu>{},
-               [](std::size_t) { return ItemLfu(); });
-  if (name == "item-clock")
-    return col(std::type_identity<ItemClock>{},
-               [](std::size_t) { return ItemClock(); });
-  if (name == "item-random") {
-    const std::uint64_t seed = get_u64(params, "seed", 1);
-    return col(std::type_identity<ItemRandom>{},
-               [seed](std::size_t) { return ItemRandom(seed); });
+  if (!stack) {
+    GC_OBS_SPAN(span, "per_cell_column", "column");
+    GC_OBS_SPAN_ARG(span, "capacities", std::to_string(capacities.size()));
+    GC_OBS_COUNT("column.per_cell", 1);
+    std::vector<SimStats> column;
+    column.reserve(capacities.size());
+    for (const std::size_t capacity : capacities)
+      column.push_back(per_cell(capacity));
+    return column;
   }
-  if (name == "item-slru") {
-    const double p = get_f64(params, "p", 0.5);
-    return col(std::type_identity<ItemSlru>{},
-               [p](std::size_t) { return ItemSlru(p); });
+  GC_OBS_SPAN(span, "stack_column_pass", "column");
+  GC_OBS_SPAN_ARG(span, "capacities", std::to_string(capacities.size()));
+  GC_OBS_COUNT("column.stack_fast_path", 1);
+  const std::vector<SimStats> derived =
+      name == "item-lru"
+          ? locality::item_lru_column(map, trace, capacities)
+          : locality::block_lru_column(map, trace, block_ids, capacities);
+  if constexpr (kHotChecksEnabled) {
+    for (std::size_t i = 0; i < capacities.size(); ++i)
+      GC_CHECK(derived[i] == per_cell(capacities[i]),
+               "stack-column derivation diverged from the per-cell engine");
   }
-  if (name == "item-arc")
-    return col(std::type_identity<ItemArc>{},
-               [](std::size_t) { return ItemArc(); });
-  if (name == "footprint") {
-    const bool cold = get_u64(params, "cold_block", 1) != 0;
-    return col(std::type_identity<FootprintCache>{},
-               [cold](std::size_t) { return FootprintCache(cold); });
-  }
-  if (name == "block-lru")
-    return col(std::type_identity<BlockLru>{},
-               [](std::size_t) { return BlockLru(); });
-  if (name == "block-fifo")
-    return col(std::type_identity<BlockFifo>{},
-               [](std::size_t) { return BlockFifo(); });
-  // IBLP splits are capacity-dependent, so each lane resolves its own config.
-  if (name == "iblp")
-    return col(std::type_identity<Iblp>{}, [&p = params](std::size_t cap) {
-      return Iblp(iblp_config(p, cap));
-    });
-  if (name == "iblp-excl")
-    return col(std::type_identity<IblpExclusive>{},
-               [&p = params](std::size_t cap) {
-                 return IblpExclusive(iblp_config(p, cap));
-               });
-  if (name == "iblp-blockfirst")
-    return col(std::type_identity<IblpBlockFirst>{},
-               [&p = params](std::size_t cap) {
-                 return IblpBlockFirst(iblp_config(p, cap));
-               });
-  if (name == "gcm") {
-    const std::uint64_t seed = get_u64(params, "seed", 1);
-    const std::size_t sideload =
-        static_cast<std::size_t>(get_u64(params, "sideload", 0));
-    return col(std::type_identity<Gcm>{},
-               [seed, sideload](std::size_t) { return Gcm(seed, sideload); });
-  }
-  if (name == "marking-item") {
-    const std::uint64_t seed = get_u64(params, "seed", 1);
-    return col(std::type_identity<MarkingItem>{},
-               [seed](std::size_t) { return MarkingItem(seed); });
-  }
-  if (name == "marking-blockmark") {
-    const std::uint64_t seed = get_u64(params, "seed", 1);
-    return col(std::type_identity<MarkingBlockMark>{},
-               [seed](std::size_t) { return MarkingBlockMark(seed); });
-  }
-  if (name == "athreshold") {
-    const unsigned a = static_cast<unsigned>(get_u64(params, "a", 1));
-    return col(std::type_identity<AThreshold>{},
-               [a](std::size_t) { return AThreshold(a); });
-  }
-  if (name == "belady-item")
-    return col(std::type_identity<BeladyItem>{},
-               [](std::size_t) { return BeladyItem(); });
-  if (name == "belady-block")
-    return col(std::type_identity<BeladyBlock>{},
-               [](std::size_t) { return BeladyBlock(); });
-  if (name == "belady-greedy-gc")
-    return col(std::type_identity<BeladyGreedyGc>{},
-               [](std::size_t) { return BeladyGreedyGc(); });
-  GC_REQUIRE(false, "unknown policy spec: " + spec);
-  return {};  // unreachable
+  return derived;
 }
 
 double estimated_sim_cost(const std::string& spec, std::uint64_t accesses) {

@@ -29,7 +29,8 @@ namespace gcaching {
 
 /// Construct a policy from a spec string. `capacity` is the cache size the
 /// policy will be attached to; size-dependent defaults (IBLP split) use it.
-/// Throws ContractViolation on an unknown name or malformed spec.
+/// Throws ContractViolation on an unknown name or malformed spec (including
+/// a parameter value with a sign, trailing junk or no number at all).
 std::unique_ptr<ReplacementPolicy> make_policy(const std::string& spec,
                                                std::size_t capacity);
 
@@ -59,22 +60,18 @@ SimStats simulate_fast_spec(const std::string& spec, const BlockMap& map,
 SimStats simulate_fast_spec(const std::string& spec, const Workload& workload,
                             std::size_t capacity);
 
-/// Capacity-batched column simulation of a policy spec: all capacities of
-/// one (workload, policy) row in a single trace pass via
-/// `simulate_column<Policy>` (core/simulator.hpp). stats[i] is bit-identical
+/// Every capacity of one (workload, policy) row. stats[i] is bit-identical
 /// to `simulate_fast_spec(spec, map, trace, block_ids, capacities[i])`.
 ///
-/// For stack policies (`kIsStackPolicy`: item-lru, block-lru) the column
-/// additionally collapses into ONE stack-distance pass
-/// (locality/stack_column.hpp) when eligible — block-lru needs a uniform
-/// partition — falling back to the lane engine otherwise. In checking
-/// builds the stack derivation is cross-checked cell by cell against the
-/// lane engine. Pass `allow_stack = false` to force the lane engine (the
-/// bench uses this to time the two modes separately).
+/// item-lru, and block-lru on a uniform partition
+/// (locality::block_column_supported), obey LRU inclusion: their whole
+/// column collapses into ONE stack-distance pass (locality/stack_column.hpp).
+/// In checking builds that derivation is cross-checked cell by cell against
+/// `simulate_fast_spec`. Every other spec runs `simulate_fast_spec` once per
+/// capacity. No run of a column records into an attached timeline.
 std::vector<SimStats> simulate_column_spec(
     const std::string& spec, const BlockMap& map, const Trace& trace,
-    std::span<const BlockId> block_ids, std::span<const std::size_t> capacities,
-    bool allow_stack = true);
+    std::span<const BlockId> block_ids, std::span<const std::size_t> capacities);
 
 /// Estimated simulation cost of `accesses` requests under `spec`, in
 /// arbitrary-but-comparable units (normalized seconds-ish). The sweep

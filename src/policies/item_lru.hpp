@@ -21,12 +21,6 @@ class ItemLru final : public ReplacementPolicy {
   // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
 
-  /// Satisfies the LRU inclusion property, so a whole capacity column can
-  /// collapse into one stack-distance pass (locality/stack_column.hpp); the
-  /// factory's column dispatcher keys off this trait.
-  // GCLINT-TRAIT-CHECKED-BY: run_column
-  static constexpr bool kIsStackPolicy = true;
-
   // Inline (with the callbacks below) so the fast engine's instantiation
   // sees the attachment: the compiler then knows cache() is the engine's
   // own CacheContents and keeps its members in registers across calls.

@@ -124,86 +124,63 @@ std::vector<SweepCell> run_sweep(const SweepSpec& spec) {
       GC_OBS_COUNT("sweep.block_id_precomputes", 1);
     });
 
-  // One progress unit per scheduled task: rows in batched mode, cells
-  // otherwise. `done` is shared across workers; the callback itself is the
+  // One task per (workload, policy) row, every capacity in one go: the fast
+  // engine through simulate_column_spec (a stack pass for item-lru and
+  // block-lru, per-cell runs otherwise), the verifying engine one
+  // Simulation per capacity. Per-policy costs skew ~17x, so rows go out
+  // longest-estimated-first (LPT): a slow row dispatched last would hold the
+  // whole sweep hostage on one thread. Cells are written into preassigned
+  // row-major slices, so output order is deterministic no matter how the
+  // schedule interleaves.
+  struct Row {
+    std::size_t w = 0;
+    std::size_t p = 0;
+    double cost = 0.0;
+  };
+  std::vector<Row> rows;
+  rows.reserve(nw * np);
+  for (std::size_t w = 0; w < nw; ++w)
+    for (std::size_t p = 0; p < np; ++p)
+      rows.push_back({w, p,
+                      estimated_sim_cost(spec.policy_specs[p],
+                                         work[w].trace.size())});
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& a, const Row& b) { return a.cost > b.cost; });
+  // `done` is shared across workers; the progress callback itself is the
   // caller's to make thread-safe.
   std::atomic<std::size_t> done{0};
-
-  if (spec.use_fast_path && spec.batch_columns) {
-    // Row-batched mode: one task per (workload, policy) row, every capacity
-    // in a single trace pass. Per-policy costs skew ~70x, so rows go out
-    // longest-estimated-first (LPT): a slow row dispatched last would hold
-    // the whole sweep hostage on one thread. Cells are written into
-    // preassigned row-major slices, so output order is deterministic no
-    // matter how the schedule interleaves.
-    struct Row {
-      std::size_t w = 0;
-      std::size_t p = 0;
-      double cost = 0.0;
-    };
-    std::vector<Row> rows;
-    rows.reserve(nw * np);
-    for (std::size_t w = 0; w < nw; ++w)
-      for (std::size_t p = 0; p < np; ++p)
-        rows.push_back({w, p,
-                        estimated_sim_cost(spec.policy_specs[p],
-                                           work[w].trace.size())});
-    std::stable_sort(rows.begin(), rows.end(),
-                     [](const Row& a, const Row& b) { return a.cost > b.cost; });
-    const std::size_t total_rows = rows.size();
-    for (const Row& row : rows)
-      pool.submit([&spec, &cells, &block_ids, &done, &work,
-                   &effective_capacity, &correct_stats, row, np, nc,
-                   total_rows] {
-        const Workload& workload = work[row.w];
-        {
-          GC_OBS_SPAN(span, "sweep_row", "sweep");
-          GC_OBS_SPAN_ARG(span, "policy", spec.policy_specs[row.p]);
-          GC_OBS_SPAN_ARG(span, "workload", std::to_string(row.w));
-          std::vector<std::size_t> caps(spec.capacities);
-          for (std::size_t& cap : caps) cap = effective_capacity(row.w, cap);
-          const std::vector<SimStats> column = simulate_column_spec(
-              spec.policy_specs[row.p], *workload.map, workload.trace,
-              block_ids[row.w], caps);
-          for (std::size_t c = 0; c < nc; ++c)
-            cells[(row.w * np + row.p) * nc + c].stats =
-                correct_stats(row.w, column[c]);
+  const std::size_t total_rows = rows.size();
+  for (const Row& row : rows)
+    pool.submit([&spec, &cells, &block_ids, &done, &work, &effective_capacity,
+                 &correct_stats, row, np, nc, total_rows] {
+      const Workload& workload = work[row.w];
+      const std::string& policy_spec = spec.policy_specs[row.p];
+      {
+        GC_OBS_SPAN(span, "sweep_row", "sweep");
+        GC_OBS_SPAN_ARG(span, "policy", policy_spec);
+        GC_OBS_SPAN_ARG(span, "workload", std::to_string(row.w));
+        std::vector<std::size_t> caps(spec.capacities);
+        for (std::size_t& cap : caps) cap = effective_capacity(row.w, cap);
+        std::vector<SimStats> column;
+        if (spec.use_fast_path) {
+          column = simulate_column_spec(policy_spec, *workload.map,
+                                        workload.trace, block_ids[row.w], caps);
+        } else {
+          for (const std::size_t cap : caps) {
+            const auto policy = make_policy(policy_spec, cap);
+            column.push_back(simulate(workload, *policy, cap));
+          }
         }
-        GC_OBS_COUNT("sweep.rows_completed", 1);
-        if (spec.progress)
-          spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                        total_rows);
-      });
-    pool.wait();
-    return cells;
-  }
-
-  pool.parallel_for(cells.size(), [&](std::size_t idx) {
-    SweepCell& cell = cells[idx];
-    const Workload& workload = work[cell.workload_index];
-    const std::string& policy_spec = spec.policy_specs[cell.policy_index];
-    const std::size_t capacity =
-        effective_capacity(cell.workload_index, cell.capacity);
-    {
-      GC_OBS_SPAN(span, "sweep_cell", "sweep");
-      GC_OBS_SPAN_ARG(span, "policy", policy_spec);
-      GC_OBS_SPAN_ARG(span, "capacity", std::to_string(cell.capacity));
-      SimStats stats;
-      if (spec.use_fast_path) {
-        stats =
-            simulate_fast_spec(policy_spec, *workload.map, workload.trace,
-                               block_ids[cell.workload_index], capacity);
-      } else {
-        auto policy = make_policy(policy_spec, capacity);
-        stats = simulate(workload, *policy, capacity);
+        for (std::size_t c = 0; c < nc; ++c)
+          cells[(row.w * np + row.p) * nc + c].stats =
+              correct_stats(row.w, column[c]);
       }
-      cell.stats = correct_stats(cell.workload_index, stats);
-    }
-    GC_OBS_COUNT("sweep.cells_completed", 1);
-    if (spec.progress)
-      spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
-                    cells.size());
-  });
+      GC_OBS_COUNT("sweep.rows_completed", 1);
+      if (spec.progress)
+        spec.progress(done.fetch_add(1, std::memory_order_relaxed) + 1,
+                      total_rows);
+    });
+  pool.wait();
   return cells;
 }
 

@@ -1,20 +1,17 @@
 // Declarative sweep runner: (workload, policy spec, capacity) grid ->
 // per-cell SimStats, evaluated in parallel.
 //
-// Policies are constructed fresh per cell from their factory spec, so cells
-// are fully independent and the sweep parallelizes trivially. Workloads are
-// shared read-only (BlockMap and Trace are immutable after construction).
-//
-// Two fast-path granularities:
-//   * batched (default): the unit of work is a whole (workload, policy)
-//     ROW — all capacities in one trace pass via simulate_column_spec, with
-//     stack policies collapsing further into a single stack-distance pass.
-//     Rows are scheduled longest-estimated-first (estimated_sim_cost; the
-//     factory throughputs skew ~70x across policies), so the slowest rows
-//     never start last and strand the pool.
-//   * per-cell (batch_columns = false, or the verifying engine): one task
-//     per grid cell, statically chunked.
-// Both produce bit-identical SimStats in identical row-major order.
+// The unit of work is a (workload, policy) ROW: all capacities of one row
+// run as one task. The fast engine evaluates a row through
+// simulate_column_spec — one stack-distance pass for item-lru and block-lru,
+// one simulate_fast run per capacity otherwise; the verifying engine runs
+// one step-wise Simulation per capacity. Rows are scheduled
+// longest-estimated-first (estimated_sim_cost; the factory throughputs skew
+// ~17x across policies), so the slowest rows never start last and strand
+// the pool. Policies are constructed fresh per cell and workloads are shared
+// read-only (BlockMap and Trace are immutable after construction), so rows
+// are fully independent. Both engines produce bit-identical SimStats in
+// identical row-major order.
 #pragma once
 
 #include <cstddef>
@@ -44,19 +41,14 @@ struct SweepSpec {
   std::vector<std::size_t> capacities;
   /// 0 = hardware concurrency.
   std::size_t threads = 0;
-  /// Use the devirtualized fast-path engine (simulate_fast_spec) with
+  /// Use the devirtualized fast-path engine (simulate_column_spec) with
   /// per-workload precomputed block ids. Produces bit-identical SimStats to
   /// the verifying engine — switch off to exercise the step-wise
   /// `Simulation` path instead (e.g. when debugging a new policy).
   bool use_fast_path = true;
-  /// Batch each (workload, policy) row's capacities into one trace pass and
-  /// schedule rows cost-aware (see file comment). Fast-path only; ignored
-  /// when use_fast_path is false. Off = per-cell static chunking, which is
-  /// what bench_sweep compares against.
-  bool batch_columns = true;
   // ---- Spatial-hash sampling (locality/sample.hpp) ------------------------
   // When active, each workload is filtered ONCE through the block-consistent
-  // SHARDS sampler, every engine (batched, per-cell, verifying) runs on the
+  // SHARDS sampler, both engines (fast and verifying) run on the
   // filtered trace at capacities scaled by the workload's effective rate,
   // and the resulting counters are rescaled back to full-trace estimates.
   // Cells still report the ORIGINAL capacity. `sample_rate == 1.0` with
@@ -82,8 +74,8 @@ struct SweepSpec {
   /// empty otherwise, and is mutually exclusive with sample_rate /
   /// sample_blocks (the runner would sample an already-sampled trace).
   std::vector<Presampled> presampled;
-  /// Optional coarse progress hook, invoked as units of work complete with
-  /// (done, total) — units are rows in batched mode, cells otherwise.
+  /// Optional coarse progress hook, invoked as rows complete with
+  /// (done, total).
   /// Called from worker threads (possibly concurrently): the callback must
   /// be thread-safe and cheap. Backs `gcsim --progress`.
   std::function<void(std::size_t done, std::size_t total)> progress;

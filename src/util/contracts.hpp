@@ -78,8 +78,8 @@ inline constexpr bool kHotChecksEnabled = true;
 
 // ---- gclint hot-region markers ---------------------------------------------
 // GC_HOT_REGION_BEGIN / GC_HOT_REGION_END delimit per-access hot-loop code —
-// the regions `simulate_fast` / `simulate_column` execute once per access
-// (CacheContents mutators, fast_step, the stack-distance walker). They expand
+// the regions `simulate_fast` executes once per access (CacheContents
+// mutators, fast_step, the stack-distance walker). They expand
 // to nothing; `tools/gclint` enforces that only GC_HOT_* contracts appear
 // between them, because a cold GC_REQUIRE/GC_ENSURE/GC_CHECK there would
 // silently reintroduce the per-access overhead GC_FAST_SIM exists to remove.

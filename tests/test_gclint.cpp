@@ -78,11 +78,6 @@ SimStats simulate_fast_spec(const std::string& spec) {
   if (spec == "block-lru") return run<BlockLru>();
   throw BadSpec();
 }
-SimStats simulate_column_spec(const std::string& spec) {
-  if (spec == "item-lru") return col<ItemLru>();
-  if (spec == "block-lru") return col<BlockLru>();
-  throw BadSpec();
-}
 std::vector<std::string> known_policy_names() {
   return {"item-lru", "block-lru"};
 }
@@ -196,7 +191,7 @@ obs::StatsTimeline timeline(64);
 GC_HOT_REGION_BEGIN(per_access)
 inline void step(int x) {
   GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TICK(obs_tl, 0, live_stats());
+  GC_OBS_TICK(obs_tl, live_stats());
   jobs::enqueue(x);
 }
 GC_HOT_REGION_END(per_access)

@@ -4,7 +4,7 @@
 //   * attaching a timeline NEVER changes what a run computes — final SimStats
 //     stay bit-identical to an un-instrumented run, and the recorded window
 //     deltas sum back to exactly those totals, for every engine
-//     (`Simulation::run`, `simulate_fast`, `simulate_column`);
+//     (`Simulation::run`, `simulate_fast`);
 //   * under GCACHING_OBS=OFF the GC_OBS_* macros provably compile to zero
 //     code (the constexpr proof below, in the style of test_contracts).
 // Plus the windowing edge cases: trace shorter than one window, window == 1,
@@ -35,11 +35,11 @@ using obs::TimelineScope;
 // GC_HOT_CHECK elision proof in test_contracts.cpp.)
 constexpr int obs_free_identity(int v) {
   GC_OBS_TIMELINE(obs_tl);
-  GC_OBS_TIMELINE_OPEN(obs_tl, {1}, 100);
+  GC_OBS_TIMELINE_OPEN(obs_tl, 1, 100);
   if (GC_OBS_ATTACHED(obs_tl)) {
-    GC_OBS_TICK(obs_tl, 0, SimStats{});
+    GC_OBS_TICK(obs_tl, SimStats{});
   }
-  GC_OBS_TIMELINE_CLOSE(obs_tl, 0, SimStats{});
+  GC_OBS_TIMELINE_CLOSE(obs_tl, SimStats{});
   GC_OBS_SPAN(span, "name", "cat");
   GC_OBS_SPAN_ARG(span, "key", "value");
   GC_OBS_THREAD_NAME("name");
@@ -62,10 +62,10 @@ std::size_t count_lines(const std::string& path) {
   return lines;
 }
 
-void expect_window_invariants(const StatsTimeline& tl, std::size_t lane,
+void expect_window_invariants(const StatsTimeline& tl,
                               std::uint64_t total_accesses) {
-  ASSERT_TRUE(tl.closed(lane));
-  const std::vector<obs::TimelineWindow>& rows = tl.windows(lane);
+  ASSERT_TRUE(tl.closed());
+  const std::vector<obs::TimelineWindow>& rows = tl.windows();
   if (total_accesses == 0) {
     EXPECT_TRUE(rows.empty());
     return;
@@ -83,60 +83,53 @@ void expect_window_invariants(const StatsTimeline& tl, std::size_t lane,
     covered += rows[i].length;
   }
   EXPECT_EQ(covered, total_accesses);
-  EXPECT_EQ(tl.window_sum(lane), tl.final_totals(lane));
+  EXPECT_EQ(tl.window_sum(), tl.final_totals());
 }
 
 TEST(TimelineUnit, FixedWindowResolution) {
   StatsTimeline tl(128);
-  tl.open({64}, 10'000);
+  tl.open(64, 10'000);
   EXPECT_EQ(tl.window(), 128u);
-  EXPECT_EQ(tl.num_lanes(), 1u);
-  EXPECT_EQ(tl.lane_capacity(0), 64u);
+  EXPECT_EQ(tl.capacity(), 64u);
 }
 
 TEST(TimelineUnit, AutoWindowScalesToTraceLength) {
   StatsTimeline tl;  // kAutoWindow
-  tl.open({32}, 4096);
+  tl.open(32, 4096);
   EXPECT_EQ(tl.window(), 4096u / StatsTimeline::kAutoTargetWindows);
   // Tiny traces floor at 1 instead of a zero-length window.
-  tl.open({32}, 10);
+  tl.open(32, 10);
   EXPECT_EQ(tl.window(), 1u);
 }
 
 TEST(TimelineUnit, OpenResetsPreviousRecording) {
   StatsTimeline tl(2);
-  tl.open({8}, 4);
+  tl.open(8, 4);
   SimStats s;
   s.accesses = 2;
-  ASSERT_FALSE(tl.tick_due(0));
-  ASSERT_TRUE(tl.tick_due(0));
-  tl.record(0, s);
-  EXPECT_EQ(tl.windows(0).size(), 1u);
-  tl.open({16}, 4);
-  EXPECT_TRUE(tl.windows(0).empty());
-  EXPECT_FALSE(tl.closed(0));
-  EXPECT_EQ(tl.lane_capacity(0), 16u);
+  ASSERT_FALSE(tl.tick_due());
+  ASSERT_TRUE(tl.tick_due());
+  tl.record(s);
+  tl.close(s);
+  EXPECT_EQ(tl.windows().size(), 1u);
+  EXPECT_TRUE(tl.closed());
+  tl.open(16, 4);
+  EXPECT_TRUE(tl.windows().empty());
+  EXPECT_FALSE(tl.closed());
+  EXPECT_EQ(tl.final_totals(), SimStats{});
+  EXPECT_EQ(tl.capacity(), 16u);
 }
 
 TEST(TimelineUnit, CloseRejectsDivergentTotals) {
   StatsTimeline tl(1);
-  tl.open({8}, 2);
+  tl.open(8, 2);
   SimStats seen;
   seen.accesses = 1;
-  ASSERT_TRUE(tl.tick_due(0));
-  tl.record(0, seen);
+  ASSERT_TRUE(tl.tick_due());
+  tl.record(seen);
   SimStats different = seen;
   different.misses = 99;  // never reported through record()
-  EXPECT_THROW(tl.close(0, different), ContractViolation);
-}
-
-TEST(TimelineUnit, LaneRangeIsContractChecked) {
-  StatsTimeline tl(4);
-  tl.open({8, 16}, 100);
-  EXPECT_EQ(tl.num_lanes(), 2u);
-  EXPECT_THROW(tl.windows(2), ContractViolation);
-  EXPECT_THROW(tl.close(2, SimStats{}), ContractViolation);
-  EXPECT_THROW(StatsTimeline(1).open({}, 10), ContractViolation);
+  EXPECT_THROW(tl.close(different), ContractViolation);
 }
 
 TEST(TimelineUnit, ScopesNestAndRestore) {
@@ -183,9 +176,9 @@ TEST_F(TimelineEngines, VerifyingEngineTotalsAreUnperturbed) {
     instrumented = simulate(w, *policy, capacity);
   }
   EXPECT_EQ(instrumented, plain);
-  EXPECT_EQ(tl.final_totals(0), plain);
-  EXPECT_EQ(tl.lane_capacity(0), capacity);
-  expect_window_invariants(tl, 0, w.trace.size());
+  EXPECT_EQ(tl.final_totals(), plain);
+  EXPECT_EQ(tl.capacity(), capacity);
+  expect_window_invariants(tl, w.trace.size());
 }
 
 TEST_F(TimelineEngines, FastEngineTotalsAreUnperturbed) {
@@ -204,8 +197,8 @@ TEST_F(TimelineEngines, FastEngineTotalsAreUnperturbed) {
       instrumented = simulate_fast_spec(spec, w, capacity);
     }
     EXPECT_EQ(instrumented, plain);
-    EXPECT_EQ(tl.final_totals(0), plain);
-    expect_window_invariants(tl, 0, w.trace.size());
+    EXPECT_EQ(tl.final_totals(), plain);
+    expect_window_invariants(tl, w.trace.size());
   }
 }
 
@@ -216,9 +209,9 @@ TEST_F(TimelineEngines, WindowOfOneRecordsEveryAccess) {
     TimelineScope scope(tl);
     (void)simulate_fast_spec("item-lru", w, 8);
   }
-  expect_window_invariants(tl, 0, 50);
-  ASSERT_EQ(tl.windows(0).size(), 50u);
-  for (const obs::TimelineWindow& row : tl.windows(0))
+  expect_window_invariants(tl, 50);
+  ASSERT_EQ(tl.windows().size(), 50u);
+  for (const obs::TimelineWindow& row : tl.windows())
     EXPECT_EQ(row.delta.accesses, 1u);
 }
 
@@ -229,10 +222,10 @@ TEST_F(TimelineEngines, TraceShorterThanWindowYieldsOnePartialWindow) {
     TimelineScope scope(tl);
     (void)simulate_fast_spec("item-lru", w, 8);
   }
-  expect_window_invariants(tl, 0, 50);
-  ASSERT_EQ(tl.windows(0).size(), 1u);
-  EXPECT_EQ(tl.windows(0)[0].length, 50u);
-  EXPECT_EQ(tl.windows(0)[0].delta, tl.final_totals(0));
+  expect_window_invariants(tl, 50);
+  ASSERT_EQ(tl.windows().size(), 1u);
+  EXPECT_EQ(tl.windows()[0].length, 50u);
+  EXPECT_EQ(tl.windows()[0].delta, tl.final_totals());
 }
 
 TEST_F(TimelineEngines, FinalPartialWindowCoversTheRemainder) {
@@ -242,56 +235,15 @@ TEST_F(TimelineEngines, FinalPartialWindowCoversTheRemainder) {
     TimelineScope scope(tl);
     (void)simulate_fast_spec("block-lru", w, 24);
   }
-  expect_window_invariants(tl, 0, 1000);
-  ASSERT_EQ(tl.windows(0).size(), 16u);
-  EXPECT_EQ(tl.windows(0).back().length, 40u);
-}
-
-TEST_F(TimelineEngines, ColumnEngineRecordsOneLanePerCapacity) {
-  const Workload w = traces::zipf_blocks(64, 8, 3000, 0.9, 4, 6);
-  const std::vector<std::size_t> capacities = {8, 24, 56};
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
-  StatsTimeline tl(500);
-  std::vector<SimStats> column;
-  {
-    TimelineScope scope(tl);
-    column = simulate_column_spec("item-fifo", *w.map, w.trace,
-                                  std::span<const BlockId>(ids), capacities);
-  }
-  ASSERT_EQ(tl.num_lanes(), capacities.size());
-  for (std::size_t lane = 0; lane < capacities.size(); ++lane) {
-    SCOPED_TRACE("lane " + std::to_string(lane));
-    EXPECT_EQ(tl.lane_capacity(lane), capacities[lane]);
-    EXPECT_EQ(tl.final_totals(lane), column[lane]);
-    // Per-cell fast runs are the ground truth for each lane.
-    EXPECT_EQ(column[lane],
-              simulate_fast_spec("item-fifo", w, capacities[lane]));
-    expect_window_invariants(tl, lane, w.trace.size());
-  }
-}
-
-TEST_F(TimelineEngines, ForcedLaneColumnMatchesStackDerivation) {
-  const Workload w = traces::zipf_blocks(32, 8, 2000, 0.8, 3, 7);
-  const std::vector<std::size_t> capacities = {16, 32};
-  const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
-  StatsTimeline tl(256);
-  std::vector<SimStats> column;
-  {
-    TimelineScope scope(tl);
-    column = simulate_column_spec("item-lru", *w.map, w.trace,
-                                  std::span<const BlockId>(ids), capacities,
-                                  /*allow_stack=*/false);
-  }
-  for (std::size_t lane = 0; lane < capacities.size(); ++lane) {
-    EXPECT_EQ(tl.final_totals(lane), column[lane]);
-    expect_window_invariants(tl, lane, w.trace.size());
-  }
+  expect_window_invariants(tl, 1000);
+  ASSERT_EQ(tl.windows().size(), 16u);
+  EXPECT_EQ(tl.windows().back().length, 40u);
 }
 
 TEST_F(TimelineEngines, StackCollapsedColumnRecordsNothing) {
   // The documented edge: a stack-collapsed column (item-lru derivation) does
-  // a single stack-distance pass, not per-access lane stepping — the
-  // timeline stays empty in every build (the checking replay detaches).
+  // a single stack-distance pass, not per-access stepping — the timeline
+  // stays empty in every build (the checking replay detaches).
   const Workload w = traces::zipf_blocks(32, 8, 2000, 0.8, 3, 8);
   const std::vector<std::size_t> capacities = {16, 32};
   const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
@@ -301,7 +253,8 @@ TEST_F(TimelineEngines, StackCollapsedColumnRecordsNothing) {
     (void)simulate_column_spec("item-lru", *w.map, w.trace,
                                std::span<const BlockId>(ids), capacities);
   }
-  EXPECT_EQ(tl.num_lanes(), 0u);
+  EXPECT_EQ(tl.capacity(), 0u);  // never opened
+  EXPECT_TRUE(tl.windows().empty());
 }
 
 TEST_F(TimelineEngines, SinksWriteOneRowPerWindow) {
@@ -311,7 +264,7 @@ TEST_F(TimelineEngines, SinksWriteOneRowPerWindow) {
     TimelineScope scope(tl);
     (void)simulate_fast_spec("gcm:seed=2,sideload=2", w, 24);
   }
-  ASSERT_EQ(tl.windows(0).size(), 10u);
+  ASSERT_EQ(tl.windows().size(), 10u);
 
   const std::string dir = ::testing::TempDir();
   const std::string csv = dir + "/timeline.csv";

@@ -280,7 +280,7 @@ TEST(SweepObsIntegration, TraceAndCountersCaptureTheSchedule) {
   EXPECT_EQ(reg.value("sweep.rows_completed"), rows);
   EXPECT_EQ(reg.value("sweep.block_id_precomputes"), workloads.size());
   EXPECT_EQ(reg.value("column.stack_fast_path") +
-                reg.value("column.lane_engine"),
+                reg.value("column.per_cell"),
             rows);
   EXPECT_GE(reg.value("pool.tasks_executed"), rows);
 
@@ -337,16 +337,15 @@ TEST(SweepObsIntegration, ProgressReportsMonotonicallyToCompletion) {
   }
   EXPECT_EQ(max_done, rows);
 
-  // Per-cell mode reports cells instead of rows.
-  spec.batch_columns = false;
+  // The verifying engine runs the same row schedule and reports rows too.
+  spec.use_fast_path = false;
   {
     std::lock_guard<std::mutex> lock(mu);
     reports.clear();
   }
-  const std::size_t cells = rows * spec.capacities.size();
   (void)run_sweep(spec);
-  ASSERT_EQ(reports.size(), cells);
-  for (const auto& report : reports) EXPECT_EQ(report.second, cells);
+  ASSERT_EQ(reports.size(), rows);
+  for (const auto& report : reports) EXPECT_EQ(report.second, rows);
 }
 
 }  // namespace

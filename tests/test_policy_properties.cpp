@@ -138,6 +138,17 @@ TEST(PolicyFactory, UnknownNameThrows) {
 TEST(PolicyFactory, MalformedParamsThrow) {
   EXPECT_THROW(make_policy("iblp:i=10,b=20", 64), ContractViolation);
   EXPECT_THROW(make_policy("athreshold:a", 64), ContractViolation);
+  // Values are parsed with a full check: a sign, trailing junk or a
+  // non-number is malformed, never wrapped or truncated. `i=-1` must not
+  // wrap to 2^64-1: the default b = capacity - i would wrap back with it,
+  // so i + b == capacity alone cannot catch it.
+  for (const char* spec : {"iblp:i=-1", "iblp:i=abc", "item-slru:p=abc",
+                           "gcm:seed=3x"})
+    EXPECT_THROW(make_policy(spec, 64), ContractViolation) << spec;
+  EXPECT_THROW(simulate_fast_spec("iblp:i=-1",
+                                  traces::zipf_blocks(64, 8, 4000, 0.9, 4, 1),
+                                  64),
+               ContractViolation);
 }
 
 TEST(PolicyFactory, IblpDefaultsToEvenSplit) {

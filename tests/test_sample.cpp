@@ -225,7 +225,7 @@ std::vector<SimStats> sweep_stats(const sim::SweepSpec& spec) {
 // never-evicting fixed-size budget — which DOES exercise the full sampling
 // machinery (filter pass, adopted block ids, capacity scaling, counter
 // rescale) — must both be bit-identical to the exact sweep, for stack and
-// non-stack policies, batched and per-cell, at 1, 2, and hardware threads.
+// non-stack policies, at 1, 2, and hardware threads.
 TEST(SampleSweepIdentity, RateOneBitIdenticalAllThreadCounts) {
   // B = 8 throughout: the smallest capacity (16) must satisfy IBLP's
   // block-layer >= B requirement at its default half/half split.
@@ -234,32 +234,28 @@ TEST(SampleSweepIdentity, RateOneBitIdenticalAllThreadCounts) {
       traces::zipf_blocks(128, 8, 8000, 0.8, 4, 2)};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{0}}) {
-    for (const bool batch : {true, false}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      sim::SweepSpec exact;
-      exact.workloads = &workloads;
-      exact.policy_specs = kSpecs;
-      exact.capacities = kCapacities;
-      exact.threads = threads;
-      exact.batch_columns = batch;
-      const std::vector<SimStats> base = sweep_stats(exact);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    sim::SweepSpec exact;
+    exact.workloads = &workloads;
+    exact.policy_specs = kSpecs;
+    exact.capacities = kCapacities;
+    exact.threads = threads;
+    const std::vector<SimStats> base = sweep_stats(exact);
 
-      sim::SweepSpec rate_one = exact;
-      rate_one.sample_rate = 1.0;  // explicit no-op
-      const std::vector<SimStats> same = sweep_stats(rate_one);
+    sim::SweepSpec rate_one = exact;
+    rate_one.sample_rate = 1.0;  // explicit no-op
+    const std::vector<SimStats> same = sweep_stats(rate_one);
 
-      sim::SweepSpec sampled = exact;
-      sampled.sample_blocks = 1u << 30;  // active sampler, zero evictions
-      const std::vector<SimStats> via_sampler = sweep_stats(sampled);
+    sim::SweepSpec sampled = exact;
+    sampled.sample_blocks = 1u << 30;  // active sampler, zero evictions
+    const std::vector<SimStats> via_sampler = sweep_stats(sampled);
 
-      ASSERT_EQ(base.size(), same.size());
-      ASSERT_EQ(base.size(), via_sampler.size());
-      for (std::size_t i = 0; i < base.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
-        expect_identical(base[i], same[i]);
-        expect_identical(base[i], via_sampler[i]);
-      }
+    ASSERT_EQ(base.size(), same.size());
+    ASSERT_EQ(base.size(), via_sampler.size());
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      SCOPED_TRACE("cell " + std::to_string(i));
+      expect_identical(base[i], same[i]);
+      expect_identical(base[i], via_sampler[i]);
     }
   }
 }

@@ -1,16 +1,15 @@
-// Differential tests for the capacity-batched sweep engine.
+// Differential tests for the sweep engine.
 //
 // Three ways to evaluate a (workload, policy) row's capacity column must be
 // bit-identical on every SimStats counter:
-//   1. per-cell      — simulate_fast_spec once per capacity (PR 1's engine),
-//   2. lane-batched  — simulate_column_spec with the stack path disabled
-//                      (one trace pass, one cache lane per capacity),
-//   3. stack-column  — simulate_column_spec with the stack path enabled
-//                      (item-lru / block-lru collapse into one
-//                      stack-distance pass; others fall through to lanes).
-// And run_sweep must produce identical cells with batching on or off, at
-// any thread count. Like test_fast_sim, this binary is built twice: against
-// the normal libraries and against the GC_FAST_SIM configuration.
+//   1. verifying  — a step-wise Simulation of make_policy per capacity,
+//   2. per-cell   — simulate_fast_spec once per capacity,
+//   3. column     — simulate_column_spec (item-lru / block-lru collapse into
+//                   one stack-distance pass; every other spec runs
+//                   per-cell).
+// And run_sweep's fast and verifying engines must produce identical cells
+// at any thread count. Like test_fast_sim, this binary is built twice:
+// against the normal libraries and against the GC_FAST_SIM configuration.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -64,19 +63,17 @@ TEST_P(ColumnDifferential, AllThreePathsBitIdentical) {
     const Workload w = traces::zipf_blocks(64, 8, 4000, 0.9, 4, seed);
     const std::vector<BlockId> ids = compute_block_ids(*w.map, w.trace);
     const std::span<const BlockId> ids_span(ids);
-    const std::vector<SimStats> batched =
+    const std::vector<SimStats> column =
         simulate_column_spec(spec, *w.map, w.trace, ids_span, kCapacities);
-    const std::vector<SimStats> lanes_only = simulate_column_spec(
-        spec, *w.map, w.trace, ids_span, kCapacities, /*allow_stack=*/false);
-    ASSERT_EQ(batched.size(), kCapacities.size());
-    ASSERT_EQ(lanes_only.size(), kCapacities.size());
+    ASSERT_EQ(column.size(), kCapacities.size());
     for (std::size_t i = 0; i < kCapacities.size(); ++i) {
       SCOPED_TRACE(spec + " seed=" + std::to_string(seed) +
                    " capacity=" + std::to_string(kCapacities[i]));
       const SimStats cell = simulate_fast_spec(spec, *w.map, w.trace,
                                                ids_span, kCapacities[i]);
-      expect_identical(cell, batched[i]);
-      expect_identical(cell, lanes_only[i]);
+      const auto policy = make_policy(spec, kCapacities[i]);
+      expect_identical(simulate(w, *policy, kCapacities[i]), cell);
+      expect_identical(cell, column[i]);
     }
   }
 }
@@ -118,8 +115,8 @@ TEST(StackColumn, MatchesPerCellAcrossWorkloadShapes) {
 }
 
 // A non-uniform partition (last block smaller) is outside the block-lru
-// stack derivation's model; the dispatcher must fall back to the lane
-// engine and still match per-cell results.
+// stack derivation's model; the dispatcher must fall back to per-cell runs
+// and still match them.
 TEST(StackColumn, NonUniformPartitionFallsBackToLanes) {
   Workload w;
   w.map = std::make_shared<UniformBlockMap>(60, 8);  // last block: 4 items
@@ -151,10 +148,11 @@ TEST(StackColumn, RejectsUnknownSpec) {
                ContractViolation);
 }
 
-// run_sweep: batching (with its cost-aware, out-of-order row schedule) must
-// be invisible in the results — identical cells in identical row-major
-// order, at every thread count, in fast and verifying modes.
-TEST(SweepBatched, BatchOnOffIdenticalAcrossThreadCounts) {
+// run_sweep: the longest-first row schedule (rows start out of order and
+// write back concurrently) must be invisible in the results — the fast and
+// verifying engines produce identical cells in identical row-major order at
+// every thread count.
+TEST(SweepBatched, FastAndVerifyingIdenticalAcrossThreadCounts) {
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(64, 8, 3000, 0.9, 4, 1),
       traces::hot_item_per_block(32, 8, 2000, 8, 0.25, 2),
@@ -165,34 +163,30 @@ TEST(SweepBatched, BatchOnOffIdenticalAcrossThreadCounts) {
                        "gcm:seed=5,sideload=3"};
   spec.capacities = {16, 32, 64};
 
-  spec.batch_columns = false;
+  spec.threads = 1;
+  spec.use_fast_path = false;
   const auto baseline = sim::run_sweep(spec);
   ASSERT_EQ(baseline.size(), workloads.size() * spec.policy_specs.size() *
                                  spec.capacities.size());
 
   const std::size_t hw = std::thread::hardware_concurrency();
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, hw}) {
-    spec.threads = threads;
-    spec.batch_columns = true;
-    const auto batched = sim::run_sweep(spec);
-    ASSERT_EQ(batched.size(), baseline.size());
-    for (std::size_t i = 0; i < baseline.size(); ++i) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " cell=" + std::to_string(i));
-      EXPECT_EQ(baseline[i].workload_index, batched[i].workload_index);
-      EXPECT_EQ(baseline[i].policy_index, batched[i].policy_index);
-      EXPECT_EQ(baseline[i].capacity, batched[i].capacity);
-      expect_identical(baseline[i].stats, batched[i].stats);
+    for (const bool fast : {true, false}) {
+      spec.threads = threads;
+      spec.use_fast_path = fast;
+      const auto cells = sim::run_sweep(spec);
+      ASSERT_EQ(cells.size(), baseline.size());
+      for (std::size_t i = 0; i < baseline.size(); ++i) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " fast=" + std::to_string(fast) +
+                     " cell=" + std::to_string(i));
+        EXPECT_EQ(baseline[i].workload_index, cells[i].workload_index);
+        EXPECT_EQ(baseline[i].policy_index, cells[i].policy_index);
+        EXPECT_EQ(baseline[i].capacity, cells[i].capacity);
+        expect_identical(baseline[i].stats, cells[i].stats);
+      }
     }
   }
-
-  // The verifying engine ignores batch_columns; results still agree.
-  spec.threads = 2;
-  spec.use_fast_path = false;
-  spec.batch_columns = true;
-  const auto verified = sim::run_sweep(spec);
-  for (std::size_t i = 0; i < baseline.size(); ++i)
-    expect_identical(baseline[i].stats, verified[i].stats);
 }
 
 TEST(SweepBatched, CostModelIsPositiveAndScalesWithLength) {

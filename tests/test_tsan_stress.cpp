@@ -96,9 +96,9 @@ void expect_identical_cells(const std::vector<sim::SweepCell>& a,
 }
 
 TEST(TsanStress, RunSweepBitIdenticalAcrossThreadCounts) {
-  // The batched sweep's cost-aware schedule starts rows out of order and
-  // writes results back concurrently; at 1 / 2 / hardware threads, batched
-  // or per-cell, every SimStats counter must match the serial baseline.
+  // The sweep's cost-aware schedule starts rows out of order and writes
+  // results back concurrently; at 2 and hardware threads every SimStats
+  // counter must match the serial baseline.
   const std::vector<Workload> workloads = {
       traces::zipf_blocks(48, 8, 1500, 0.9, 3, 11),
       traces::sequential_scan(128, 8, 1500),
@@ -113,13 +113,9 @@ TEST(TsanStress, RunSweepBitIdenticalAcrossThreadCounts) {
             workloads.size() * spec.policy_specs.size() *
                 spec.capacities.size());
   for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     spec.threads = threads;
-    for (const bool batch : {true, false}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      spec.batch_columns = batch;
-      expect_identical_cells(baseline, sim::run_sweep(spec));
-    }
+    expect_identical_cells(baseline, sim::run_sweep(spec));
   }
 }
 

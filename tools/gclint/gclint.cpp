@@ -570,8 +570,7 @@ bool is_policies_header(const std::string& path) {
 
 std::vector<TraitDecl> collect_trait_decls(const Program& prog) {
   static const std::set<std::string> kTraits = {
-      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kIsStackPolicy",
-      "kBatchesSameBlockRuns"};
+      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kBatchesSameBlockRuns"};
   std::vector<TraitDecl> decls;
   for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
     const FileModel& m = prog.files[fi];
@@ -762,26 +761,21 @@ void check_factory(const Program& prog, std::vector<Finding>& out) {
   };
   const FunctionDef* f_make = find_fn("make_policy");
   const FunctionDef* f_fast = find_fn("simulate_fast_spec");
-  const FunctionDef* f_col = find_fn("simulate_column_spec");
   const FunctionDef* f_known = find_fn("known_policy_names");
-  if (f_make == nullptr || f_fast == nullptr || f_col == nullptr ||
-      f_known == nullptr) {
+  if (f_make == nullptr || f_fast == nullptr || f_known == nullptr) {
     add(out, m, 1, kRule,
         "could not locate the factory's spec tables (make_policy / "
-        "simulate_fast_spec / simulate_column_spec / known_policy_names) — "
-        "update gclint's anchors if the factory was restructured");
+        "simulate_fast_spec / known_policy_names) — update gclint's anchors "
+        "if the factory was restructured");
     return;
   }
 
   const std::set<std::string> make_specs = compared_specs(m, *f_make);
   const std::set<std::string> fast_specs = compared_specs(m, *f_fast);
-  const std::set<std::string> col_specs = compared_specs(m, *f_col);
   const std::set<std::string> known_specs = all_specs(m, *f_known);
 
   report_spec_diff(m, f_make->line, make_specs, fast_specs, "make_policy",
                    "simulate_fast_spec", out);
-  report_spec_diff(m, f_make->line, make_specs, col_specs, "make_policy",
-                   "simulate_column_spec", out);
   report_spec_diff(m, f_make->line, make_specs, known_specs, "make_policy",
                    "known_policy_names", out);
   report_spec_diff(m, f_known->line, known_specs, make_specs,

@@ -26,8 +26,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bounds/competitive.hpp"
@@ -63,12 +66,15 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Tiny argument parser: --key value pairs, repeated keys accumulate. A few
-// keys are bare flags that consume no value.
+// keys are bare flags that consume no value. Each subcommand declares the
+// options it reads; any other option is rejected before the subcommand runs,
+// so a typo or a removed option never silently falls back to a default.
 // ---------------------------------------------------------------------------
 
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, std::set<std::string> options)
+      : options_(std::move(options)) {
     for (int a = first; a < argc; ++a) {
       std::string key = argv[a];
       if (key.rfind("--", 0) != 0) {
@@ -76,6 +82,10 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (options_.count(key) == 0) {
+        std::cerr << "unknown option --" << key << "\n";
+        std::exit(2);
+      }
       if (is_flag(key)) {
         values_[key].push_back("1");
         continue;
@@ -88,10 +98,14 @@ class Args {
     }
   }
 
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const {
+    declared(key);
+    return values_.count(key) > 0;
+  }
 
   std::string get(const std::string& key,
                   std::optional<std::string> fallback = {}) const {
+    declared(key);
     const auto it = values_.find(key);
     if (it != values_.end()) return it->second.back();
     if (fallback) return *fallback;
@@ -100,6 +114,7 @@ class Args {
   }
 
   std::vector<std::string> get_all(const std::string& key) const {
+    declared(key);
     const auto it = values_.find(key);
     return it == values_.end() ? std::vector<std::string>{} : it->second;
   }
@@ -139,6 +154,14 @@ class Args {
     return key == "progress" || key == "trace-bin" || key == "perf";
   }
 
+  /// A subcommand reading an option it did not declare is a bug in gcsim,
+  /// not in the command line.
+  void declared(const std::string& key) const {
+    if (options_.count(key) == 0)
+      throw std::logic_error("gcsim reads undeclared option --" + key);
+  }
+
+  std::set<std::string> options_;
   std::map<std::string, std::vector<std::string>> values_;
 };
 
@@ -356,7 +379,7 @@ int cmd_simulate(const Args& args) {
       timeline.write_csv(stem + ".csv");
       timeline.write_jsonl(stem + ".jsonl");
       std::cout << "obs: wrote " << stem << ".csv/.jsonl ("
-                << timeline.windows(0).size() << " windows of "
+                << timeline.windows().size() << " windows of "
                 << timeline.window() << ")\n";
     } else {
       s = fast ? simulate_fast_spec(spec, w, capacity)
@@ -431,15 +454,6 @@ int cmd_sweep(const Args& args) {
   spec.capacities = split_sizes(args.get("capacities"));
   spec.threads = args.get_u64("threads", 0);
   spec.use_fast_path = use_fast_mode(args);
-  // `--batch on` (default) runs whole capacity columns per trace pass with
-  // cost-aware row scheduling; `--batch off` forces the per-cell engine.
-  const std::string batch = args.get("batch", std::string("on"));
-  if (batch == "on" || batch == "off") {
-    spec.batch_columns = batch == "on";
-  } else {
-    std::cerr << "unknown --batch " << batch << " (on|off)\n";
-    std::exit(2);
-  }
   require_obs_build(args);
   std::optional<ObsSinks> sinks;
   if (args.has("obs")) sinks.emplace(args.get("obs"));
@@ -882,7 +896,7 @@ subcommands:
   sweep      policy x capacity grid, in parallel
              --workload FILE [--workload FILE]... --policies A,B,..
              --capacities N,M,.. [--threads T] [--csv FILE]
-             [--mode fast|verify] [--batch on|off] [--obs DIR] [--progress]
+             [--mode fast|verify] [--obs DIR] [--progress]
              [--sample-rate R | --sample-size N] [--sample-seed S]
              sampling sweeps a SHARDS-style hash sample of each workload
              (block-consistent; binary inputs stream without materializing)
@@ -944,23 +958,54 @@ int main(int argc, char** argv) {
   using namespace gcaching::cli;
   if (argc < 2) return cmd_help();
   const std::string cmd = argv[1];
-  try {
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") return cmd_help();
-    const Args args(argc, argv, 2);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "gcached") return cmd_gcached(args);
-    if (cmd == "profile") return cmd_profile(args);
-    if (cmd == "mrc") return cmd_mrc(args);
-    if (cmd == "import") return cmd_import(args);
-    if (cmd == "layout") return cmd_layout(args);
-    if (cmd == "hierarchy") return cmd_hierarchy(args);
-    if (cmd == "adversary") return cmd_adversary(args);
-    if (cmd == "opt") return cmd_opt(args);
-    if (cmd == "bounds") return cmd_bounds(args);
+  if (cmd == "help" || cmd == "--help" || cmd == "-h") return cmd_help();
+  // Every subcommand with the options it reads (--obs, --mode: see
+  // require_obs_build / use_fast_mode).
+  struct Subcommand {
+    int (*run)(const Args&);
+    std::set<std::string> options;
+  };
+  const std::map<std::string, Subcommand> subcommands = {
+      {"generate",
+       {cmd_generate,
+        {"B", "blocks", "cold", "gamma", "hot", "intra", "items", "kind",
+         "length", "out", "p", "phase", "restart", "scan", "seed", "span",
+         "stride", "theta", "trace-bin", "ws"}}},
+      {"simulate",
+       {cmd_simulate,
+        {"capacity", "mode", "obs", "obs-window", "policy", "workload"}}},
+      {"sweep",
+       {cmd_sweep,
+        {"capacities", "csv", "mode", "obs", "policies", "progress",
+         "sample-rate", "sample-seed", "sample-size", "threads",
+         "workload"}}},
+      {"gcached",
+       {cmd_gcached,
+        {"arrival", "capacity", "fill-mode", "fill-us", "metrics-out",
+         "mon-interval-ms", "mon-jsonl", "mon-ring", "mshrs", "obs", "ops",
+         "perf", "policy", "rate", "seed", "shards", "threads", "workload"}}},
+      {"profile", {cmd_profile, {"windows", "workload"}}},
+      {"mrc", {cmd_mrc, {"sizes", "workload"}}},
+      {"import",
+       {cmd_import,
+        {"B", "address_field", "delim", "has_size", "in", "item_bytes", "out",
+         "size_field"}}},
+      {"layout",
+       {cmd_layout, {"B", "kind", "out", "seed", "window", "workload"}}},
+      {"hierarchy", {cmd_hierarchy, {"level", "probe_cost", "workload"}}},
+      {"adversary",
+       {cmd_adversary, {"B", "h", "k", "phases", "policy", "save", "type"}}},
+      {"opt", {cmd_opt, {"capacity", "exact", "workload"}}},
+      {"bounds", {cmd_bounds, {"B", "b", "h", "i", "k"}}},
+  };
+  const auto it = subcommands.find(cmd);
+  if (it == subcommands.end()) {
     std::cerr << "unknown subcommand: " << cmd << " (try `gcsim help`)\n";
     return 2;
+  }
+  try {
+    const Args args(argc, argv, 2, it->second.options);
+    return it->second.run(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
