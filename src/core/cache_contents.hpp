@@ -30,6 +30,7 @@
 
 #include "core/block_map.hpp"
 #include "core/types.hpp"
+#include "util/cache_line.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching {
@@ -44,10 +45,13 @@ class CacheContents {
   // members in registers.
   CacheContents(const BlockMap& map, std::size_t capacity)
       : map_(map),
-        capacity_(capacity),
         flags_(map.num_items(), Flag{}),
-        load_times_(map.num_items(), 0) {
+        load_times_(map.num_items(), 0),
+        capacity_(capacity) {
     GC_REQUIRE(capacity >= 1, "cache capacity must be at least one item");
+    GC_ASSERT_APART(CacheContents, now_, capacity_);
+    GC_ASSERT_APART(CacheContents, now_, flags_);
+    GC_ASSERT_APART(CacheContents, now_, map_);
   }
 
   // ---- Read-only inspection (also the adversaries' view) -----------------
@@ -55,6 +59,12 @@ class CacheContents {
   bool contains(ItemId item) const {
     GC_HOT_REQUIRE(item < flags_.size(), "item id out of range");
     return (raw(flags_[item]) & kPresent) != 0;
+  }
+
+  /// Hint: fetch `item`'s residency byte. Safe without the owner's lock:
+  /// it reads only the flag array's data pointer, fixed after construction.
+  void prefetch(ItemId item) const noexcept {
+    __builtin_prefetch(flags_.data() + item);
   }
   GC_HOT_REGION_END(cache_contents_residency)
   std::size_t occupancy() const noexcept { return occupancy_; }
@@ -234,16 +244,25 @@ class CacheContents {
     return static_cast<Flag>(b);
   }
 
+  // Two lines, split by temperature (util/cache_line.hpp). The first holds
+  // what is fixed after construction; every access reads it, none writes
+  // it, so it stays shared in every core that runs the cache. The split
+  // holds where the object is placed line-aligned (gcached's shards). The
+  // type itself is not over-aligned: an over-aligned local would make every
+  // fast engine realign its stack frame and give up a register in its loop.
   const BlockMap& map_;
-  std::size_t capacity_;
-  std::size_t occupancy_ = 0;
   std::vector<Flag> flags_;
   std::vector<AccessTime> load_times_;  ///< valid while the item is resident
+  std::size_t capacity_;
+
+  // The second holds what the access path writes: the clock on every
+  // access, the rest on misses. track_load_times_ is read-mostly but is
+  // read only by load(), which writes this line anyway.
+  AccessTime now_ = 0;
+  std::size_t occupancy_ = 0;
   BlockId current_block_ = kInvalidBlock;
   ItemId current_request_ = kInvalidItem;
-  AccessTime now_ = 0;
   bool track_load_times_ = true;
-
   std::uint64_t items_loaded_ = 0;
   std::uint64_t sideloads_ = 0;
   std::uint64_t evictions_ = 0;

@@ -66,6 +66,14 @@ class ReplacementPolicy {
   /// Stable display name, e.g. "item-lru" or "iblp(i=512,b=512)".
   virtual std::string name() const = 0;
 
+  /// Hint, not a transition: fetch the metadata the next access to `item`
+  /// will touch. gcached calls it on the concrete policy type before taking
+  /// the shard lock, so it runs without the lock: an override may read only
+  /// state fixed after attach() and must write nothing. Non-virtual on
+  /// purpose; the default does nothing, and a policy shadows it only where
+  /// a measurement shows the early fetch pays.
+  void prefetch(ItemId /*item*/) const noexcept {}
+
  protected:
   /// Valid after attach().
   const BlockMap& map() const { return *map_; }

@@ -11,7 +11,7 @@
 // never crosses a shard boundary.
 //
 // Per-shard state transitions are *externalized*: a shard bundles
-// {ShardLock, CacheContents, Policy, partial SimStats, access count} and the
+// {ShardLock, MshrTable, CacheContents, Policy, partial SimStats} and the
 // only mutation is `detail::fast_step` — the exact per-access transition of
 // `simulate_fast` (core/simulator.hpp) — applied under the shard's exclusive
 // lock. The existing policies therefore run unmodified, still assuming
@@ -68,6 +68,7 @@
 #include "gcached/shard_lock.hpp"
 #include "locality/sample.hpp"
 #include "obs/shard_metrics.hpp"
+#include "util/cache_line.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::gcached {
@@ -231,8 +232,11 @@ class ShardedCache final : public ConcurrentCache {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       ClientContext ctx;
       ShardGuard guard(shard->lock, ctx);
+      // Every plain hit, fill commit and delayed-hit commit advances the
+      // cache's logical clock exactly once, so now() is the access count.
       SimStats snapshot = shard->partial;
-      detail::fast_finalize<Policy>(shard->cache, snapshot, shard->accesses);
+      detail::fast_finalize<Policy>(shard->cache, snapshot,
+                                    shard->cache.now());
       total += snapshot;
     }
     return total;
@@ -262,20 +266,29 @@ class ShardedCache final : public ConcurrentCache {
   }
 
  private:
-  // One cache line per shard header keeps neighbouring shards' locks from
-  // false-sharing under cross-shard traffic.
-  struct alignas(64) Shard {
+  // A shard is handed between cores through its lock, so its layout is
+  // set by what a hold writes (docs/CONCURRENCY.md, "Shard memory layout").
+  // Line 0 holds the fields every hold writes: the lock word, the writer
+  // flag and the MSHR header. `cache` starts its own line: a read-mostly
+  // line, then its written line. `policy` starts another, whose list
+  // pointer is read-mostly; `partial`, written on misses, starts a third.
+  // Shards never share a line with each other.
+  struct alignas(kCacheLineBytes) Shard {
     ShardLock lock;
-    CacheContents cache;
-    Policy policy;
-    MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
-    SimStats partial;       ///< non-derivable counters only (fast_step)
-    std::uint64_t accesses = 0;
     bool writer_active = false;  ///< checking builds only; guarded by `lock`
+    MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
+    alignas(kCacheLineBytes) CacheContents cache;
+    alignas(kCacheLineBytes) Policy policy;
+    alignas(kCacheLineBytes) SimStats partial;  ///< non-derivable counters
 
     Shard(const BlockMap& map, std::size_t capacity, std::size_t mshrs,
           MakePolicy& make)
-        : cache(map, capacity), policy(make()), mshr(mshrs) {}
+        : mshr(mshrs), cache(map, capacity), policy(make()) {
+      GC_ASSERT_APART(Shard, lock, cache);
+      GC_ASSERT_APART(Shard, mshr, cache);
+      GC_ASSERT_APART(Shard, lock, policy);
+      GC_ASSERT_APART(Shard, partial, policy);
+    }
   };
 
   /// Single-writer-per-shard invariant, RAII form for the multi-hold async
@@ -329,6 +342,17 @@ class ShardedCache final : public ConcurrentCache {
     GC_HOT_REGION_END(gcached_mon_lock_delta)
   };
 
+  GC_HOT_REGION_BEGIN(gcached_prefetch)
+  /// Issued just before a shard's lock, so that fetching the item's
+  /// residency byte and the policy's per-item lines overlaps the lock's
+  /// read-for-ownership instead of following it. Race-free unlocked: the
+  /// hints read only pointers fixed before the first client starts.
+  static void prefetch(const Shard& shard, ItemId item) noexcept {
+    shard.cache.prefetch(item);
+    shard.policy.prefetch(item);
+  }
+  GC_HOT_REGION_END(gcached_prefetch)
+
   GC_HOT_REGION_BEGIN(gcached_access_sync)
   /// The legacy lock-held transition: classify + transition + (for sync
   /// mode) sleep the fill while still holding the shard. Also the shared
@@ -342,6 +366,7 @@ class ShardedCache final : public ConcurrentCache {
     // under GCACHING_OBS=OFF (GC_MON_ATTACHED is then compile-time false).
     GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
     const MonLockDelta lock_delta(mon, ctx);
+    prefetch(shard, item);
     ShardGuard guard(shard.lock, ctx);
     WriterScope writer(shard);
     // fast_step maintains only the non-derivable counters (misses, spatial
@@ -349,20 +374,20 @@ class ShardedCache final : public ConcurrentCache {
     // CacheContents — delta those sources directly.
     [[maybe_unused]] const std::uint64_t sideloads_before =
         shard.cache.sideloads();
-    const std::uint64_t misses_before = shard.partial.misses;
+    // The outcome comes from the residency byte fast_step probes anyway;
+    // deltaing partial.misses would pull the miss counters' line into
+    // every hit.
+    const bool miss = !shard.cache.contains(item);
     detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
-    ++shard.accesses;
     if (GC_MON_ATTACHED(mon)) {
-      [[maybe_unused]] const std::uint64_t miss_delta =
-          shard.partial.misses - misses_before;
-      GC_MON_SHARD_ADD(mon, si, hits, 1 - miss_delta);
-      GC_MON_SHARD_ADD(mon, si, misses, miss_delta);
+      GC_MON_SHARD_ADD(mon, si, hits, miss ? 0 : 1);
+      GC_MON_SHARD_ADD(mon, si, misses, miss ? 1 : 0);
       GC_MON_SHARD_ADD(mon, si, sideloads,
                        shard.cache.sideloads() - sideloads_before);
       lock_delta.publish(mon, si, ctx);
       GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
     }
-    if (cfg_.fill_latency_ns != 0 && shard.partial.misses != misses_before) {
+    if (cfg_.fill_latency_ns != 0 && miss) {
       // Synchronous fill: the shard stays held (its writer is blocked on
       // the backend), threads on other shards keep going. Slept inside the
       // guard on purpose — this compat mode IS the serialization baseline
@@ -394,6 +419,7 @@ class ShardedCache final : public ConcurrentCache {
       bool unqueued_fill = false;
       {
         const MonLockDelta lock_delta(mon, ctx);
+        prefetch(shard, item);
         ShardGuard guard(shard.lock, ctx);
         WriterScope writer(shard);
         lock_delta.publish(mon, si, ctx);
@@ -403,7 +429,6 @@ class ShardedCache final : public ConcurrentCache {
             // probe re-confirms under the same hold).
             detail::fast_step(shard.cache, shard.policy, shard.partial, item,
                               block);
-            ++shard.accesses;
             if (GC_MON_ATTACHED(mon)) {
               GC_MON_SHARD_ADD(mon, si, hits, 1);
               GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
@@ -417,7 +442,6 @@ class ShardedCache final : public ConcurrentCache {
           // kSpatial means the waiter's item was only ever *sideloaded* by
           // the pending fill — spatial locality paid for the wait.
           commit_delayed_hit(shard, item, waited_ns);
-          ++shard.accesses;
           if (GC_MON_ATTACHED(mon)) {
             GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
             GC_MON_SHARD_SET(mon, si, residency, shard.cache.occupancy());
@@ -491,7 +515,6 @@ class ShardedCache final : public ConcurrentCache {
         GC_MON_SHARD_ADD(mon, si, delayed_hits, 1);
       }
     }
-    ++shard.accesses;
     if (fill_entry != nullptr) {
       // Release the register and wake every coalesced waiter. Both happen
       // under this same hold, so a recycled entry can never be observed

@@ -34,14 +34,15 @@
 #include <cstdint>
 #include <memory>
 
+#include "util/cache_line.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching::obs {
 
-/// One cache line of relaxed counters per shard. alignas(64) keeps shards
+/// One cache line of relaxed counters per shard. Line alignment keeps shards
 /// from false-sharing each other's lines; within a shard all writes come
 /// from the lock holder, so intra-struct sharing is free.
-struct alignas(64) ShardCounters {
+struct alignas(kCacheLineBytes) ShardCounters {
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> sideloads{0};

@@ -40,6 +40,10 @@ class ItemLru final : public ReplacementPolicy {
   // than the callback body itself.
   void on_hit(ItemId item) override { lru_->move_to_front(item); }
 
+  /// gcached's pre-lock hint: the item's list node and the sentinel, the
+  /// nodes on_hit and on_miss write. `lru_` is fixed after attach().
+  void prefetch(ItemId item) const noexcept { lru_->prefetch(item); }
+
   void on_miss(ItemId item) override {
     if (cache().full()) {
       const ItemId victim = lru_->pop_back();

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/cache_line.hpp"
 #include "util/contracts.hpp"
 
 namespace gcaching {
@@ -26,6 +27,7 @@ class IndexedList {
     const Id s = sentinel();
     nodes_[s].prev = s;
     nodes_[s].next = s;
+    GC_ASSERT_APART(IndexedList, size_, nodes_);
   }
 
   std::size_t universe() const noexcept { return nodes_.size() - 1; }
@@ -77,6 +79,15 @@ class IndexedList {
     if (nodes_[sentinel()].next == id) return;  // already most recent
     unlink(id);
     link_after(sentinel(), id);
+  }
+
+  /// Hint: fetch `id`'s node and the sentinel, which move_to_front and
+  /// push_front write, for writing. Safe without the owner's lock: it reads
+  /// only the node array's bounds, fixed after construction (clear()
+  /// rewrites the nodes, never the array).
+  void prefetch(Id id) const noexcept {
+    __builtin_prefetch(nodes_.data() + id, 1);
+    __builtin_prefetch(nodes_.data() + sentinel(), 1);
   }
 
   Id pop_back() {
@@ -140,7 +151,15 @@ class IndexedList {
     nodes_[n.next].prev = n.prev;
   }
 
+  // The node array's bounds are read by every operation and written by
+  // none; size_ is written by every push and remove. Keeping size_ a line
+  // past them leaves the bounds shared in every core that runs the list
+  // (util/cache_line.hpp). On any 16-byte-aligned start, which operator new
+  // gives, the begin and end pointers then never share size_'s line.
+  // Padding, not alignas: an over-aligned type would make every engine
+  // holding a list by value realign its stack frame.
   std::vector<Node> nodes_;
+  char pad_[kCacheLineBytes - sizeof(std::vector<Node>)] = {};
   std::size_t size_ = 0;
 };
 

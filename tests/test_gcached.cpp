@@ -278,33 +278,38 @@ TEST(GcachedShardLock, GuardSerializesIncrementsAndCountsEveryAcquisition) {
 // ---- Concurrent runs (tsan teeth) -------------------------------------------
 
 TEST(GcachedConcurrent, ConservationHoldsOnEverySchedule) {
+  // Every gcached policy, so that each policy's pre-lock prefetch hint runs
+  // against concurrent writers: under TSan this is the check that the hints
+  // read only state fixed before the clients start.
   const Workload w = small_zipf();
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, hardware_threads()}) {
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, " +
-                   std::to_string(shards) + " shards");
-      GcachedConfig cfg;
-      cfg.num_shards = shards;
-      cfg.capacity = 512;
-      const auto cache = make_concurrent_cache("item-lru", w.map, cfg);
-      const LoadResult res = replay(*cache, w, threads, 30'000);
-      // The interleaving is schedule-dependent; these identities are not.
-      EXPECT_EQ(res.ops, 30'000u);
-      EXPECT_EQ(res.stats.accesses, res.ops);
-      EXPECT_EQ(res.stats.hits + res.stats.misses + res.stats.delayed_hits,
-                res.stats.accesses);
-      EXPECT_EQ(res.stats.delayed_hits, 0u);  // zero fill: nothing in flight
-      EXPECT_EQ(res.stats.temporal_hits + res.stats.spatial_hits,
-                res.stats.hits);
-      EXPECT_EQ(res.lock_acquisitions, res.ops);
-      EXPECT_EQ(res.offered_ops_per_sec, 0.0);  // closed loop reports none
-      std::size_t occupancy = 0;
-      for (std::size_t s = 0; s < cache->num_shards(); ++s) {
-        EXPECT_LE(cache->shard_occupancy(s), cache->shard_capacity(s));
-        occupancy += cache->shard_occupancy(s);
+  for (const std::string& spec : supported_concurrent_specs()) {
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, hardware_threads()}) {
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+        SCOPED_TRACE(spec + ", " + std::to_string(threads) + " threads, " +
+                     std::to_string(shards) + " shards");
+        GcachedConfig cfg;
+        cfg.num_shards = shards;
+        cfg.capacity = 512;
+        const auto cache = make_concurrent_cache(spec, w.map, cfg);
+        const LoadResult res = replay(*cache, w, threads, 30'000);
+        // The interleaving is schedule-dependent; these identities are not.
+        EXPECT_EQ(res.ops, 30'000u);
+        EXPECT_EQ(res.stats.accesses, res.ops);
+        EXPECT_EQ(res.stats.hits + res.stats.misses + res.stats.delayed_hits,
+                  res.stats.accesses);
+        EXPECT_EQ(res.stats.delayed_hits, 0u);  // zero fill: nothing in flight
+        EXPECT_EQ(res.stats.temporal_hits + res.stats.spatial_hits,
+                  res.stats.hits);
+        EXPECT_EQ(res.lock_acquisitions, res.ops);
+        EXPECT_EQ(res.offered_ops_per_sec, 0.0);  // closed loop reports none
+        std::size_t occupancy = 0;
+        for (std::size_t s = 0; s < cache->num_shards(); ++s) {
+          EXPECT_LE(cache->shard_occupancy(s), cache->shard_capacity(s));
+          occupancy += cache->shard_occupancy(s);
+        }
+        EXPECT_LE(occupancy, cfg.capacity);
       }
-      EXPECT_LE(occupancy, cfg.capacity);
     }
   }
 }

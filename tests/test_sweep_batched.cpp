@@ -117,7 +117,7 @@ TEST(StackColumn, MatchesPerCellAcrossWorkloadShapes) {
 // A non-uniform partition (last block smaller) is outside the block-lru
 // stack derivation's model; the dispatcher must fall back to per-cell runs
 // and still match them.
-TEST(StackColumn, NonUniformPartitionFallsBackToLanes) {
+TEST(StackColumn, NonUniformPartitionFallsBackToPerCell) {
   Workload w;
   w.map = std::make_shared<UniformBlockMap>(60, 8);  // last block: 4 items
   ASSERT_FALSE(locality::block_column_supported(*w.map));
