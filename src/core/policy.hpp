@@ -19,13 +19,6 @@
 //     hit is statically temporal and the hit path reduces to a clock tick.
 //   * kEvictsOutsideMiss — the policy evicts during hits, so eviction stats
 //     must be snapshotted per miss transaction.
-//   * kBatchesSameBlockRuns — the policy also defines
-//     `on_hit_run(std::span<const ItemId> items)`, equivalent to calling
-//     on_hit per element, and its on_hit never changes residency (no loads —
-//     illegal outside a miss anyway — and no evictions). The fast engines
-//     then hand each maximal stretch of resident same-block accesses to
-//     on_hit_run in one call, letting the policy amortize per-access work
-//     (e.g. one frequency-bucket update covering the whole stretch).
 #pragma once
 
 #include <string>

@@ -131,72 +131,6 @@ inline void fast_step(CacheContents& cache, Policy& policy, SimStats& stats,
   }
 }
 
-// Policies whose hit handling distributes over a whole stretch of
-// consecutive same-block hits declare `kBatchesSameBlockRuns` and provide
-// `on_hit_run(items, block)`, equivalent to calling on_hit per access in
-// order. The engines then dispatch one policy call per maximal hit run
-// instead of one per access — post-sampling and block-granular traces are
-// dominated by exactly such runs. Batching policies must not touch
-// residency on the hit path (no loads — illegal outside a miss anyway —
-// and no evictions), which is what keeps the batched transition sequence
-// identical to the per-access one.
-template <typename Policy>
-inline constexpr bool kBatchesRuns = [] {
-  if constexpr (requires { Policy::kBatchesSameBlockRuns; })
-    return Policy::kBatchesSameBlockRuns;
-  else
-    return false;
-}();
-
-/// One maximal stretch of consecutive hits, all to residents of `block`,
-/// dispatched as a single policy call. The per-access CacheContents
-/// transitions (flag updates, hit taxonomy, logical clock) are unchanged —
-/// only the policy dispatch is coalesced.
-template <typename Policy>
-inline void fast_hit_run(CacheContents& cache, Policy& policy, SimStats& stats,
-                         std::span<const ItemId> items, BlockId block) {
-  static_assert(!kHitPathEvictions<Policy>,
-                "a policy that evicts on hits cannot batch hit runs");
-  for (const ItemId item : items) {
-    GC_HOT_REQUIRE(cache.map().block_of(item) == block,
-                   "batched hit run crosses a block boundary");
-    GC_HOT_REQUIRE(cache.contains(item),
-                   "batched hit run contains a non-resident item");
-    if constexpr (kRequestedOnly<Policy>) {
-      cache.record_requested_hit(item);
-    } else {
-      if (cache.record_hit(item) == HitKind::kSpatial) ++stats.spatial_hits;
-    }
-  }
-  policy.on_hit_run(items, block);
-}
-
-/// Engine loop body for batching policies: accesses[0, n) all map to
-/// `block` (one same-block run of the trace). Alternates maximal hit
-/// stretches — handed to the policy in one `fast_hit_run` call — with
-/// individual misses stepped exactly like `fast_step`'s miss path. A miss
-/// may load siblings, so residency is re-probed when the stretch resumes.
-template <typename Policy>
-inline void fast_run(CacheContents& cache, Policy& policy, SimStats& stats,
-                     const ItemId* accesses, std::size_t n, BlockId block) {
-  std::size_t k = 0;
-  while (k < n) {
-    std::size_t h = k;
-    while (h < n && cache.contains(accesses[h])) ++h;
-    if (h > k)
-      fast_hit_run(cache, policy, stats,
-                   std::span<const ItemId>(accesses + k, h - k), block);
-    if (h < n) {
-      ++stats.misses;
-      cache.begin_miss(accesses[h], block);
-      policy.on_miss(accesses[h]);
-      cache.end_miss();
-      ++h;
-    }
-    k = h;
-  }
-}
-
 /// Fills in the derivable counters after the last `fast_step`.
 template <typename Policy>
 inline void fast_finalize(const CacheContents& cache, SimStats& stats,
@@ -261,25 +195,6 @@ SimStats simulate_fast(const BlockMap& map, const Trace& trace,
       detail::fast_step(cache, policy, stats, accesses[i], block_ids[i]);
       GC_OBS_TICK(obs_tl,
                   detail::fast_live_snapshot<Policy>(cache, stats, i + 1));
-    }
-  } else if constexpr (detail::kBatchesRuns<Policy>) {
-    // Same-block runs are detected from the precomputed block-id stream and
-    // handed to the policy one run at a time. (The timeline branch above
-    // stays per-access — a window boundary can fall inside a run.)
-    std::size_t i = 0;
-    while (i < accesses.size()) {
-      const BlockId block = block_ids[i];
-      std::size_t j = i + 1;
-      while (j < accesses.size() && block_ids[j] == block) ++j;
-      // Length-1 runs (the common case on traces without spatial locality)
-      // take the plain per-access step; the run machinery only pays for
-      // itself on actual stretches.
-      if (j - i == 1)
-        detail::fast_step(cache, policy, stats, accesses[i], block);
-      else
-        detail::fast_run(cache, policy, stats, accesses.data() + i, j - i,
-                         block);
-      i = j;
     }
   } else {
     for (std::size_t i = 0; i < accesses.size(); ++i)

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -34,11 +33,6 @@ namespace gcaching {
 
 class AThreshold final : public ReplacementPolicy {
  public:
-  /// A run of hits never changes residency, so the engines may hand a whole
-  /// same-block stretch to on_hit_run in one call (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: fast_hit_run
-  static constexpr bool kBatchesSameBlockRuns = true;
-
   /// `a` must be >= 1.
   explicit AThreshold(unsigned a);
 
@@ -72,24 +66,6 @@ class AThreshold final : public ReplacementPolicy {
       load_rest_of_block(block);
       lru_.move_to_front(item);  // the requested item stays most recent
     }
-  }
-
-  /// Batched hits: the distinct-access count distributes over the run —
-  /// per-item `counted_` flags dedupe exactly as in note_access, and the
-  /// block's episode counter takes one accumulated add. Recency updates
-  /// replay per access (move_to_front early-outs when the item is already
-  /// most recent, which covers consecutive repeats). Equivalent to calling
-  /// on_hit per access in order.
-  void on_hit_run(std::span<const ItemId> items, BlockId block) {
-    std::uint32_t fresh = 0;
-    for (const ItemId item : items) {
-      lru_.move_to_front(item);
-      if (counted_[item] == 0) {
-        counted_[item] = 1;
-        ++fresh;
-      }
-    }
-    distinct_in_episode_[block] += fresh;
   }
 
  private:

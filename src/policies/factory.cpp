@@ -257,10 +257,9 @@ std::vector<SimStats> simulate_column_spec(
 double estimated_sim_cost(const std::string& spec, std::uint64_t accesses) {
   // Relative cost per access, item-lru = 1.0, calibrated from the
   // GC_FAST_SIM throughputs in BENCH_throughput.json (zipf workload) after
-  // the data-oriented policy rewrites — the lazily-ordered LFU bucket, the
-  // FlatBlockIndex geometry, and same-block run batching compressed the
-  // spread from ~70x to ~17x. A misestimate only shifts schedule order,
-  // never correctness.
+  // the data-oriented policy rewrites — the lazily-ordered LFU bucket and
+  // the FlatBlockIndex geometry compressed the spread from ~70x to
+  // ~17x. A misestimate only shifts schedule order, never correctness.
   static const std::map<std::string, double> kUnitCost = {
       {"item-lru", 1.0},       {"item-fifo", 1.0},
       {"item-lfu", 1.3},       {"item-clock", 1.4},

@@ -24,10 +24,6 @@
 // callback are defined inline (with hot-tier contracts, compiled out under
 // GC_FAST_SIM) so `simulate_fast` folds them into its loop, and block
 // geometry goes through a FlatBlockIndex instead of virtual BlockMap calls.
-// The marking family deliberately does NOT declare kBatchesSameBlockRuns:
-// a mark is already an idempotent O(1) early-out, so batching a hit run
-// saves no work and the engine's run-length scan is pure overhead here
-// (measured ~5% on run-length-1 Zipf traffic).
 #pragma once
 
 #include <string>

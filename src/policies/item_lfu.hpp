@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,11 +51,6 @@ class ItemLfu final : public ReplacementPolicy {
   /// Loads only the requested item, never a sibling (see simulate_fast).
   // GCLINT-TRAIT-CHECKED-BY: CacheContents::record_requested_hit
   static constexpr bool kRequestedLoadsOnly = true;
-
-  /// A run of hits never changes residency, so the engines may hand a whole
-  /// same-block stretch to on_hit_run in one call (see simulate_fast).
-  // GCLINT-TRAIT-CHECKED-BY: fast_hit_run
-  static constexpr bool kBatchesSameBlockRuns = true;
 
   ItemLfu() = default;
 
@@ -82,22 +76,6 @@ class ItemLfu final : public ReplacementPolicy {
     const std::uint64_t tie = next_tie_++;
     state_of_[item] = ItemState{1, tie};
     fifo_push(FifoEntry{tie, item});
-  }
-
-  /// Batched hits: consecutive repeats of one item collapse into a single
-  /// add. Equivalent to calling on_hit per access — no eviction can observe
-  /// the intermediate counts inside one hit run.
-  void on_hit_run(std::span<const ItemId> items, BlockId /*block*/) {
-    std::size_t i = 0;
-    while (i < items.size()) {
-      const ItemId item = items[i];
-      GC_HOT_CHECK(state_of_[item].freq != 0,
-                   "LFU batched hit on untracked item");
-      std::size_t j = i + 1;
-      while (j < items.size() && items[j] == item) ++j;
-      state_of_[item].freq += j - i;
-      i = j;
-    }
   }
 
  private:

@@ -2,20 +2,19 @@
 //
 // The PERF.md "policy rewrites" pass replaced the interior of the slowest
 // policies (item-lfu's lazily-ordered bucket, the FlatBlockIndex-based
-// footprint/athreshold/gcm/marking family) and taught the fast engines to
-// batch same-block runs through `on_hit_run`. None of that may change a
+// footprint/athreshold/gcm/marking family). None of that may change a
 // single counter: this suite replays the rewritten policies through the
 // verifying `Simulation` engine and the devirtualized `simulate_fast_spec`
 // on workloads chosen to stress exactly the rewritten paths --
 //
-//   * zipf          -- run lengths near 1, the singleton fast-step path;
+//   * zipf          -- run lengths near 1;
 //   * zipf-scramble -- hot items in random blocks, cold block geometry;
 //   * adv-item / adv-block -- captured Theorem 2/3 adversarial traces with
-//     long same-block stretches, the batched `fast_hit_run` path;
+//     long same-block stretches, stepped one access at a time;
 //
 // each at three capacities spanning tight to roomy. Built twice (see
 // tests/CMakeLists.txt): against the checking libraries and against the
-// GC_FAST_SIM copy, so the batching rewrite is pinned in both contract
+// GC_FAST_SIM copy, so the rewrites are pinned in both contract
 // configurations. Carries the ctest label `diff`.
 #include <gtest/gtest.h>
 
@@ -130,9 +129,8 @@ std::string sanitize(const ::testing::TestParamInfo<std::string>& info) {
 INSTANTIATE_TEST_SUITE_P(RewrittenPolicies, PolicyRewriteDifferential,
                          ::testing::ValuesIn(rewritten_specs()), sanitize);
 
-// The batched engine path alternates hit stretches with single misses; a
-// trace that is *all* same-block runs (sequential scan) and one that is all
-// singletons (stride = B) pin both extremes explicitly.
+// A trace that is *all* same-block runs (sequential scan) and one that is
+// all singletons (stride = B) pin both extremes of spatial locality.
 TEST(PolicyRewriteRuns, ScanExtremesMatchVerifyingEngine) {
   const Workload scan = traces::sequential_scan(512, 16, 4096);
   const Workload stride = traces::strided_scan(512, 16, 4096, 16);

@@ -569,8 +569,8 @@ bool is_policies_header(const std::string& path) {
 }
 
 std::vector<TraitDecl> collect_trait_decls(const Program& prog) {
-  static const std::set<std::string> kTraits = {
-      "kRequestedLoadsOnly", "kEvictsOutsideMiss", "kBatchesSameBlockRuns"};
+  static const std::set<std::string> kTraits = {"kRequestedLoadsOnly",
+                                                "kEvictsOutsideMiss"};
   std::vector<TraitDecl> decls;
   for (std::size_t fi = 0; fi < prog.files.size(); ++fi) {
     const FileModel& m = prog.files[fi];

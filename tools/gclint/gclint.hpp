@@ -62,8 +62,7 @@
 //                             Back-edges, undeclared directories, and
 //                             file-level include cycles all fail.
 //   trait-audit               Every opt-in policy trait declaration
-//                             (kRequestedLoadsOnly, kEvictsOutsideMiss,
-//                             kBatchesSameBlockRuns) must
+//                             (kRequestedLoadsOnly, kEvictsOutsideMiss) must
 //                             carry a `// GCLINT-TRAIT-CHECKED-BY: <fn>`
 //                             annotation naming the function that contract-
 //                             checks the claim; gclint verifies that function

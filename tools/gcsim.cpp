@@ -18,7 +18,9 @@
 //
 // Everything the library can do, scriptable. Run `gcsim help` for details.
 #include <cctype>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -30,6 +32,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,6 +73,24 @@ namespace {
 // options it reads; any other option is rejected before the subcommand runs,
 // so a typo or a removed option never silently falls back to a default.
 // ---------------------------------------------------------------------------
+
+/// Parses the value `raw` of option --`key` as a non-negative number with a
+/// full-length `std::from_chars`. A sign, trailing junk, an empty value and
+/// a non-finite double all exit 2 with a diagnostic naming the option.
+template <typename T>
+T parse_number(const std::string& key, const std::string& raw) {
+  T v{};
+  const char* const end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
+  bool ok = !raw.empty() && raw.front() != '-' && ec == std::errc() &&
+            ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    std::cerr << "invalid number for --" << key << ": '" << raw << "'\n";
+    std::exit(2);
+  }
+  return v;
+}
 
 class Args {
  public:
@@ -122,7 +143,7 @@ class Args {
   std::uint64_t get_u64(const std::string& key,
                         std::optional<std::uint64_t> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return std::stoull(get(key));
+    return parse_number<std::uint64_t>(key, get(key));
   }
 
   /// Signed, fully-checked integer parse: rejects non-numeric values and
@@ -146,7 +167,7 @@ class Args {
   double get_f64(const std::string& key,
                  std::optional<double> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return std::stod(get(key));
+    return parse_number<double>(key, get(key));
   }
 
  private:
@@ -174,9 +195,11 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::vector<std::size_t> split_sizes(const std::string& s) {
+/// The comma-separated list of sizes given as --`key`.
+std::vector<std::size_t> split_sizes(const Args& args, const std::string& key) {
   std::vector<std::size_t> out;
-  for (const auto& tok : split_csv(s)) out.push_back(std::stoull(tok));
+  for (const auto& tok : split_csv(args.get(key)))
+    out.push_back(parse_number<std::uint64_t>(key, tok));
   return out;
 }
 
@@ -451,7 +474,7 @@ int cmd_sweep(const Args& args) {
   spec.workloads = &workloads;
   spec.presampled = std::move(presampled);
   spec.policy_specs = split_csv(args.get("policies"));
-  spec.capacities = split_sizes(args.get("capacities"));
+  spec.capacities = split_sizes(args, "capacities");
   spec.threads = args.get_u64("threads", 0);
   spec.use_fast_path = use_fast_mode(args);
   require_obs_build(args);
@@ -503,8 +526,12 @@ int cmd_gcached(const Args& args) {
   gcached::GcachedConfig cfg;
   cfg.capacity = args.get_u64("capacity");
   cfg.num_shards = static_cast<std::size_t>(shards);
-  cfg.fill_latency_ns =
-      static_cast<std::uint64_t>(args.get_f64("fill-us", 0.0) * 1000.0);
+  const double fill_ns = args.get_f64("fill-us", 0.0) * 1000.0;
+  if (fill_ns >= 0x1p64) {  // would not fit the uint64_t nanosecond count
+    std::cerr << "--fill-us is out of range\n";
+    return 2;
+  }
+  cfg.fill_latency_ns = static_cast<std::uint64_t>(fill_ns);
   // --fill-mode async (default) sleeps fills on the MSHR path with the
   // shard released; sync restores the legacy hold-the-lock fill.
   const std::string fill_mode = args.get("fill-mode", std::string("async"));
@@ -646,7 +673,7 @@ int cmd_gcached(const Args& args) {
 int cmd_profile(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   std::vector<std::size_t> windows;
-  if (args.has("windows")) windows = split_sizes(args.get("windows"));
+  if (args.has("windows")) windows = split_sizes(args, "windows");
   const auto prof = locality::compute_profile(w, windows);
   TextTable table({"window n", "f(n)", "g(n)", "f/g", "f concave-fit"});
   const auto maj = locality::concave_majorant(prof.window_lengths,
@@ -687,7 +714,7 @@ int cmd_mrc(const Args& args) {
   const Workload w = load_workload_file(args.get("workload"));
   std::vector<std::size_t> sizes;
   if (args.has("sizes")) {
-    sizes = split_sizes(args.get("sizes"));
+    sizes = split_sizes(args, "sizes");
   } else {
     for (std::size_t s = w.map->max_block_size();
          s <= std::min<std::size_t>(w.map->num_items(), 1 << 16); s *= 2)
@@ -807,10 +834,11 @@ int cmd_hierarchy(const Args& args) {
     }
     hierarchy::LevelConfig cfg;
     cfg.name = parts[0];
-    cfg.capacity = std::stoull(parts[1]);
+    cfg.capacity = parse_number<std::uint64_t>("level", parts[1]);
     cfg.policy_spec = parts[2];
-    cfg.map = make_uniform_blocks(w.map->num_items(), std::stoull(parts[3]));
-    cfg.miss_penalty = std::stod(parts[4]);
+    cfg.map = make_uniform_blocks(
+        w.map->num_items(), parse_number<std::uint64_t>("level", parts[3]));
+    cfg.miss_penalty = parse_number<double>("level", parts[4]);
     levels.push_back(std::move(cfg));
   }
   hierarchy::HierarchySimulator hs(levels,
