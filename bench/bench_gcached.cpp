@@ -40,6 +40,7 @@
 #include "obs/shard_metrics.hpp"
 #include "traces/synthetic.hpp"
 #include "util/contracts.hpp"
+#include "util/parse_number.hpp"
 
 namespace gcaching::bench {
 namespace {
@@ -68,15 +69,17 @@ struct Options {
   bool perf = false;
 };
 
-std::vector<std::size_t> parse_size_list(const std::string& arg) {
+/// The comma-separated list of sizes given as --`key`.
+std::vector<std::size_t> parse_size_list(const std::string& key,
+                                         const std::string& arg) {
   std::vector<std::size_t> out;
   std::size_t start = 0;
   while (start <= arg.size()) {
     const std::size_t comma = arg.find(',', start);
     const std::size_t end = comma == std::string::npos ? arg.size() : comma;
     if (end > start)
-      out.push_back(static_cast<std::size_t>(
-          std::stoull(arg.substr(start, end - start))));
+      out.push_back(parse_option<std::uint64_t>(
+          key, std::string_view(arg).substr(start, end - start)));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -94,13 +97,17 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--policy" && a + 1 < argc) {
       opts.policy = argv[++a];
     } else if (arg == "--shards" && a + 1 < argc) {
-      opts.shards = parse_size_list(argv[++a]);
+      opts.shards = parse_size_list("shards", argv[++a]);
     } else if (arg == "--threads" && a + 1 < argc) {
-      opts.threads = parse_size_list(argv[++a]);
+      opts.threads = parse_size_list("threads", argv[++a]);
     } else if (arg == "--ops" && a + 1 < argc) {
-      opts.ops = std::stoull(argv[++a]);
+      opts.ops = parse_option<std::uint64_t>("ops", argv[++a]);
     } else if (arg == "--fill-us" && a + 1 < argc) {
-      opts.fill_us = std::stod(argv[++a]);
+      opts.fill_us = parse_option<double>("fill-us", argv[++a]);
+      if (opts.fill_us * 1000.0 >= 0x1p64) {  // must fit the ns count
+        std::cerr << "--fill-us is out of range\n";
+        std::exit(2);
+      }
     } else if (arg == "--fill-mode" && a + 1 < argc) {
       opts.fill_mode = argv[++a];
       if (opts.fill_mode != "sync" && opts.fill_mode != "async" &&
@@ -110,13 +117,14 @@ Options parse(int argc, char** argv) {
         std::exit(2);
       }
     } else if (arg == "--mshrs" && a + 1 < argc) {
-      opts.mshrs = static_cast<std::size_t>(std::stoull(argv[++a]));
+      opts.mshrs = parse_option<std::uint64_t>("mshrs", argv[++a]);
     } else if (arg == "--seed" && a + 1 < argc) {
-      opts.seed = std::stoull(argv[++a]);
+      opts.seed = parse_option<std::uint64_t>("seed", argv[++a]);
     } else if (arg == "--compare" && a + 1 < argc) {
       opts.compare_path = argv[++a];
     } else if (arg == "--mon-interval-ms" && a + 1 < argc) {
-      opts.mon_interval_ms = std::stoull(argv[++a]);
+      opts.mon_interval_ms =
+          parse_option<std::uint64_t>("mon-interval-ms", argv[++a]);
     } else if (arg == "--mon") {
       opts.mon = true;
     } else if (arg == "--perf") {

@@ -30,6 +30,7 @@
 #include "sim/thread_pool.hpp"
 #include "traces/synthetic.hpp"
 #include "util/contracts.hpp"
+#include "util/parse_number.hpp"
 
 namespace gcaching::bench {
 namespace {
@@ -51,9 +52,13 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--json" && a + 1 < argc) {
       opts.json_path = argv[++a];
     } else if (arg == "--threads" && a + 1 < argc) {
-      opts.threads = std::stoull(argv[++a]);
+      opts.threads = parse_option<std::uint64_t>("threads", argv[++a]);
     } else if (arg == "--repeats" && a + 1 < argc) {
-      opts.repeats = std::stoi(argv[++a]);
+      opts.repeats = parse_option<int>("repeats", argv[++a]);
+      if (opts.repeats < 1) {
+        std::cerr << "--repeats must be a positive integer\n";
+        std::exit(2);
+      }
     } else if (arg == "--quick") {
       opts.quick = true;
       opts.repeats = 1;

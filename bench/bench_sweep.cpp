@@ -33,6 +33,7 @@
 #include "sim/thread_pool.hpp"
 #include "traces/synthetic.hpp"
 #include "util/contracts.hpp"
+#include "util/parse_number.hpp"
 
 namespace gcaching::bench {
 namespace {
@@ -54,7 +55,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--json" && a + 1 < argc) {
       opts.json_path = argv[++a];
     } else if (arg == "--threads" && a + 1 < argc) {
-      opts.threads = std::stoull(argv[++a]);
+      opts.threads = parse_option<std::uint64_t>("threads", argv[++a]);
     } else if (arg == "--quick") {
       opts.quick = true;
       opts.repeats = 1;

@@ -23,6 +23,7 @@
 // array written only on loads.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,6 +53,7 @@ class CacheContents {
     GC_ASSERT_APART(CacheContents, now_, capacity_);
     GC_ASSERT_APART(CacheContents, now_, flags_);
     GC_ASSERT_APART(CacheContents, now_, map_);
+    GC_ASSERT_TOGETHER(CacheContents, owner_lock_, now_);
   }
 
   // ---- Read-only inspection (also the adversaries' view) -----------------
@@ -80,6 +82,12 @@ class CacheContents {
 
   /// Logical time (accesses processed so far), advanced by the simulator.
   AccessTime now() const noexcept { return now_; }
+
+  /// A lock word lent to an owner that guards this cache with a lock
+  /// (gcached's ShardLock). It sits on the line every access writes, so the
+  /// exchange that takes the lock also fetches that line. The cache itself
+  /// never reads or writes it.
+  std::atomic<bool>& owner_lock() noexcept { return owner_lock_; }
 
   /// Calls fn(item) for every resident item, ascending id. O(num_items).
   /// Allocation-free templated form; policies should prefer this.
@@ -157,6 +165,7 @@ class CacheContents {
                    "supplied block id does not match the requested item");
     current_block_ = block;
     current_request_ = requested;
+    if constexpr (kHotChecksEnabled) requested_loads_ = 0;
   }
 
   /// Policy: load `item` during a miss. `item` must belong to the missed
@@ -177,6 +186,7 @@ class CacheContents {
     ++occupancy_;
     ++items_loaded_;
     if (!requested) ++sideloads_;
+    if constexpr (kHotChecksEnabled) requested_loads_ += requested ? 1 : 0;
   }
 
   /// Policy: evict resident `item`. Legal at any point — Definition 1 only
@@ -192,11 +202,15 @@ class CacheContents {
     ++evictions_;
   }
 
-  /// Simulator: close the transaction; the requested item must be resident.
+  /// Simulator: close the transaction; the requested item must be resident,
+  /// loaded exactly once in this miss. The fast engine derives its miss
+  /// count from that law (misses = items_loaded - sideloads).
   void end_miss() {
     GC_HOT_REQUIRE(in_miss(), "end_miss without a transaction");
     GC_HOT_ENSURE((raw(flags_[current_request_]) & kPresent) != 0,
                   "policy failed to load the requested item");
+    GC_HOT_ENSURE(requested_loads_ == 1,
+                  "a miss must load its requested item exactly once");
     GC_HOT_ENSURE(occupancy_ <= capacity_, "occupancy exceeds capacity");
     current_block_ = kInvalidBlock;
     current_request_ = kInvalidItem;
@@ -257,12 +271,15 @@ class CacheContents {
 
   // The second holds what the access path writes: the clock on every
   // access, the rest on misses. track_load_times_ is read-mostly but is
-  // read only by load(), which writes this line anyway.
+  // read only by load(), which writes this line anyway. The owner's lock
+  // word and the checking builds' load count fill the padding after it.
   AccessTime now_ = 0;
   std::size_t occupancy_ = 0;
   BlockId current_block_ = kInvalidBlock;
   ItemId current_request_ = kInvalidItem;
   bool track_load_times_ = true;
+  std::atomic<bool> owner_lock_{false};
+  std::uint32_t requested_loads_ = 0;  ///< this miss's; checking builds only
   std::uint64_t items_loaded_ = 0;
   std::uint64_t sideloads_ = 0;
   std::uint64_t evictions_ = 0;

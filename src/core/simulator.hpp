@@ -99,10 +99,10 @@ inline constexpr bool kRequestedOnly = [] {
 }();
 
 /// One access of the fast engine. Only the counters that cannot be derived
-/// afterwards are maintained here: misses, spatial hits, and (for
-/// kHitPathEvictions policies) the per-miss eviction deltas.
-/// accesses / hits / temporal_hits follow arithmetically in
-/// `fast_finalize`, and the load counters live in CacheContents already.
+/// afterwards are maintained here: spatial hits and (for kHitPathEvictions
+/// policies) the per-miss eviction deltas. The load counters live in
+/// CacheContents already, and misses / accesses / hits / temporal_hits
+/// follow arithmetically in `fast_finalize`.
 template <typename Policy>
 inline void fast_step(CacheContents& cache, Policy& policy, SimStats& stats,
                       ItemId item, BlockId block) {
@@ -115,7 +115,6 @@ inline void fast_step(CacheContents& cache, Policy& policy, SimStats& stats,
     policy.on_hit(item);
     return;
   }
-  ++stats.misses;
   if constexpr (kHitPathEvictions<Policy>) {
     const std::uint64_t evictions_before = cache.evictions();
     const std::uint64_t wasted_before = cache.wasted_sideloads();
@@ -136,6 +135,9 @@ template <typename Policy>
 inline void fast_finalize(const CacheContents& cache, SimStats& stats,
                           std::uint64_t num_accesses) {
   stats.accesses = num_accesses;
+  // Every miss loads its requested item exactly once (CacheContents::end_miss
+  // enforces it in checking builds), and no other load is a requested one.
+  stats.misses = cache.items_loaded() - cache.sideloads();
   // delayed_hits is only ever non-zero for the gcached async fill path
   // (src/gcached/sharded_cache.hpp), which reuses this finalizer; the
   // sequential engines keep it at zero, so `hits = accesses - misses` holds

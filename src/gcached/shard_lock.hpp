@@ -1,6 +1,6 @@
 // The sanctioned per-shard lock of the gcached runtime.
 //
-// Every gcached shard is guarded by one `ShardLock`: a single
+// Every gcached shard is guarded by one `ShardLock`: a view over a single
 // std::atomic<bool>. This file is the ONLY place per-access code may touch a
 // raw lock: gclint's `hot-region-raw-lock` rule bans mutex/lock_guard tokens
 // inside GC_HOT_REGION blocks everywhere else, so all per-access locking is
@@ -75,13 +75,15 @@ struct ClientContext {
   std::uint64_t backoff_ns = 0;         ///< requested sleep ns across rounds
 };
 
-/// One shard's lock: one word, exclusive only. Every access transition,
-/// residency probe and stats snapshot takes it through ShardGuard.
+/// One shard's lock: a view over one flag word, exclusive only. The word
+/// lives wherever its owner places it; gcached's shards use the word their
+/// CacheContents lends (`CacheContents::owner_lock`), which sits on the line
+/// every access writes, so taking the lock also fetches that line. Every
+/// access transition, residency probe and stats snapshot takes it through
+/// ShardGuard.
 class ShardLock {
  public:
-  ShardLock() = default;
-  ShardLock(const ShardLock&) = delete;
-  ShardLock& operator=(const ShardLock&) = delete;
+  explicit ShardLock(std::atomic<bool>& held) noexcept : held_(&held) {}
 
   GC_HOT_REGION_BEGIN(shard_lock_acquire)
   /// Every backoff round follows exactly one failed attempt (a held flag
@@ -89,19 +91,19 @@ class ShardLock {
   /// counts failed attempts — gcmon publishes it as trylock failures.
   void lock(ClientContext& ctx) {
     ++ctx.lock_acquisitions;
-    if (!held_.exchange(true, std::memory_order_acquire)) return;
+    if (!held_->exchange(true, std::memory_order_acquire)) return;
     ++ctx.lock_contended;
     for (std::uint32_t round = 1;; ++round) {
       ++ctx.backoff_rounds;
       backoff(ctx, round);
-      if (!held_.load(std::memory_order_relaxed) &&
-          !held_.exchange(true, std::memory_order_acquire)) {
+      if (!held_->load(std::memory_order_relaxed) &&
+          !held_->exchange(true, std::memory_order_acquire)) {
         return;
       }
     }
   }
 
-  void unlock() { held_.store(false, std::memory_order_release); }
+  void unlock() { held_->store(false, std::memory_order_release); }
   GC_HOT_REGION_END(shard_lock_acquire)
 
  private:
@@ -129,14 +131,14 @@ class ShardLock {
   }
   GC_HOT_REGION_END(shard_lock_backoff)
 
-  std::atomic<bool> held_{false};
+  std::atomic<bool>* held_;
 };
 
 /// RAII exclusive acquisition — the only way gcached hot paths take a shard.
 class ShardGuard {
  public:
   GC_HOT_REGION_BEGIN(shard_guard)
-  ShardGuard(ShardLock& lock, ClientContext& ctx) : lock_(lock) {
+  ShardGuard(ShardLock lock, ClientContext& ctx) : lock_(lock) {
     lock_.lock(ctx);
   }
   ~ShardGuard() { lock_.unlock(); }
@@ -146,7 +148,7 @@ class ShardGuard {
   ShardGuard& operator=(const ShardGuard&) = delete;
 
  private:
-  ShardLock& lock_;
+  ShardLock lock_;
 };
 
 /// The simulated backend fill, slept with NO shard guard held (the async

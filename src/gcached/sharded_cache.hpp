@@ -11,10 +11,11 @@
 // never crosses a shard boundary.
 //
 // Per-shard state transitions are *externalized*: a shard bundles
-// {ShardLock, MshrTable, CacheContents, Policy, partial SimStats} and the
-// only mutation is `detail::fast_step` — the exact per-access transition of
-// `simulate_fast` (core/simulator.hpp) — applied under the shard's exclusive
-// lock. The existing policies therefore run unmodified, still assuming
+// {MshrTable, CacheContents, Policy, partial SimStats}, guarded by a
+// ShardLock over a word the CacheContents lends, and the only mutation is
+// `detail::fast_step` — the exact per-access transition of `simulate_fast`
+// (core/simulator.hpp) — applied under the shard's exclusive lock. The
+// existing policies therefore run unmodified, still assuming
 // exclusive ownership of their metadata; the adapter's job is to make the
 // ownership region explicit (one shard, one lock) instead of implicit (one
 // simulation, one thread). This is also what anchors correctness: with one
@@ -219,7 +220,7 @@ class ShardedCache final : public ConcurrentCache {
 
   bool contains(ClientContext& ctx, ItemId item, BlockId block) override {
     Shard& shard = *shards_[shard_of_block(block, shards_.size())];
-    ShardGuard guard(shard.lock, ctx);
+    ShardGuard guard(shard.lock(), ctx);
     return shard.cache.contains(item);
   }
   GC_HOT_REGION_END(gcached_access)
@@ -231,7 +232,7 @@ class ShardedCache final : public ConcurrentCache {
     SimStats total;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       ClientContext ctx;
-      ShardGuard guard(shard->lock, ctx);
+      ShardGuard guard(shard->lock(), ctx);
       // Every plain hit, fill commit and delayed-hit commit advances the
       // cache's logical clock exactly once, so now() is the access count.
       SimStats snapshot = shard->partial;
@@ -253,7 +254,7 @@ class ShardedCache final : public ConcurrentCache {
   std::size_t shard_occupancy(std::size_t s) override {
     GC_REQUIRE(s < shards_.size(), "shard index out of range");
     ClientContext ctx;
-    ShardGuard guard(shards_[s]->lock, ctx);
+    ShardGuard guard(shards_[s]->lock(), ctx);
     return shards_[s]->cache.occupancy();
   }
 
@@ -268,15 +269,16 @@ class ShardedCache final : public ConcurrentCache {
  private:
   // A shard is handed between cores through its lock, so its layout is
   // set by what a hold writes (docs/CONCURRENCY.md, "Shard memory layout").
-  // Line 0 holds the fields every hold writes: the lock word, the writer
-  // flag and the MSHR header. `cache` starts its own line: a read-mostly
-  // line, then its written line. `policy` starts another, whose list
-  // pointer is read-mostly; `partial`, written on misses, starts a third.
-  // Shards never share a line with each other.
+  // Line 0 holds the writer flag and the MSHR header, which only checking
+  // builds and the async fill path write. `cache` starts its own line: a
+  // read-mostly line, then the line every access writes, which also holds
+  // the lock word the cache lends. `policy` starts another, whose list
+  // pointer is read-mostly; `partial`, written on delayed hits and by
+  // policies that sideload or evict on hits, starts a third. Shards never
+  // share a line with each other.
   struct alignas(kCacheLineBytes) Shard {
-    ShardLock lock;
-    bool writer_active = false;  ///< checking builds only; guarded by `lock`
-    MshrTable mshr;         ///< in-flight fills; mutated under `lock` only
+    bool writer_active = false;  ///< checking builds only; guarded by lock()
+    MshrTable mshr;         ///< in-flight fills; mutated under lock() only
     alignas(kCacheLineBytes) CacheContents cache;
     alignas(kCacheLineBytes) Policy policy;
     alignas(kCacheLineBytes) SimStats partial;  ///< non-derivable counters
@@ -284,11 +286,12 @@ class ShardedCache final : public ConcurrentCache {
     Shard(const BlockMap& map, std::size_t capacity, std::size_t mshrs,
           MakePolicy& make)
         : mshr(mshrs), cache(map, capacity), policy(make()) {
-      GC_ASSERT_APART(Shard, lock, cache);
       GC_ASSERT_APART(Shard, mshr, cache);
-      GC_ASSERT_APART(Shard, lock, policy);
       GC_ASSERT_APART(Shard, partial, policy);
     }
+
+    /// The shard's lock, over the word `cache` lends.
+    ShardLock lock() noexcept { return ShardLock(cache.owner_lock()); }
   };
 
   /// Single-writer-per-shard invariant, RAII form for the multi-hold async
@@ -367,16 +370,15 @@ class ShardedCache final : public ConcurrentCache {
     GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
     const MonLockDelta lock_delta(mon, ctx);
     prefetch(shard, item);
-    ShardGuard guard(shard.lock, ctx);
+    ShardGuard guard(shard.lock(), ctx);
     WriterScope writer(shard);
-    // fast_step maintains only the non-derivable counters (misses, spatial
-    // hits); hits are 1 - miss per access, and sideloads accumulate in
-    // CacheContents — delta those sources directly.
+    // fast_step maintains only the non-derivable counters (spatial hits,
+    // and hit-path evictions); hits are 1 - miss per access, and misses and
+    // sideloads follow from CacheContents' load counters — delta those
+    // sources directly.
     [[maybe_unused]] const std::uint64_t sideloads_before =
         shard.cache.sideloads();
-    // The outcome comes from the residency byte fast_step probes anyway;
-    // deltaing partial.misses would pull the miss counters' line into
-    // every hit.
+    // The outcome comes from the residency byte fast_step probes anyway.
     const bool miss = !shard.cache.contains(item);
     detail::fast_step(shard.cache, shard.policy, shard.partial, item, block);
     if (GC_MON_ATTACHED(mon)) {
@@ -420,7 +422,7 @@ class ShardedCache final : public ConcurrentCache {
       {
         const MonLockDelta lock_delta(mon, ctx);
         prefetch(shard, item);
-        ShardGuard guard(shard.lock, ctx);
+        ShardGuard guard(shard.lock(), ctx);
         WriterScope writer(shard);
         lock_delta.publish(mon, si, ctx);
         if (shard.cache.contains(item)) {
@@ -496,7 +498,7 @@ class ShardedCache final : public ConcurrentCache {
                    Mshr* fill_entry, [[maybe_unused]] bool unqueued_fill) {
     GC_MON_ATLAS(mon, atlas_.load(std::memory_order_acquire));
     const MonLockDelta lock_delta(mon, ctx);
-    ShardGuard guard(shard.lock, ctx);
+    ShardGuard guard(shard.lock(), ctx);
     WriterScope writer(shard);
     [[maybe_unused]] const std::uint64_t sideloads_before =
         shard.cache.sideloads();

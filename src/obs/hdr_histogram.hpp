@@ -107,7 +107,6 @@ class HdrHistogram {
   /// other record / merge_from / query calls.
   void record(std::uint64_t value) noexcept {
     counts_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    total_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Bucket-wise accumulate of `other` into this histogram (relaxed reads of
@@ -115,22 +114,22 @@ class HdrHistogram {
   /// Bucket-wise addition is associative and commutative, so merge order
   /// never changes any percentile — pinned by tests/test_gcmon.cpp.
   void merge_from(const HdrHistogram& other) noexcept {
-    std::uint64_t merged = 0;
     for (std::size_t i = 0; i < kBuckets; ++i) {
       const std::uint64_t c =
           other.counts_[i].load(std::memory_order_relaxed);
-      if (c != 0) {
-        counts_[i].fetch_add(c, std::memory_order_relaxed);
-        merged += c;
-      }
+      if (c != 0) counts_[i].fetch_add(c, std::memory_order_relaxed);
     }
-    total_.fetch_add(merged, std::memory_order_relaxed);
   }
 
-  /// Samples recorded so far (may lag concurrent recorders by the in-flight
-  /// handful; exact once recording threads are quiesced).
+  /// Samples recorded so far: the sum of the buckets, so `record` pays one
+  /// RMW, not two. O(kBuckets); its callers are cold (monitor harvest, end
+  /// of run). May lag concurrent recorders by the in-flight handful; exact
+  /// once recording threads are quiesced.
   std::uint64_t count() const noexcept {
-    return total_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < kBuckets; ++i)
+      n += counts_[i].load(std::memory_order_relaxed);
+    return n;
   }
 
   std::uint64_t bucket_count(std::size_t idx) const noexcept {
@@ -176,11 +175,9 @@ class HdrHistogram {
   void clear() noexcept {
     for (std::size_t i = 0; i < kBuckets; ++i)
       counts_[i].store(0, std::memory_order_relaxed);
-    total_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<std::uint64_t> total_{0};
   std::array<std::atomic<std::uint64_t>, kBuckets> counts_{};
 };
 

@@ -1,9 +1,8 @@
 #include "policies/factory.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/simulator.hpp"
@@ -24,6 +23,7 @@
 #include "policies/item_random.hpp"
 #include "policies/item_slru.hpp"
 #include "util/contracts.hpp"
+#include "util/parse_number.hpp"
 
 namespace gcaching {
 
@@ -48,34 +48,29 @@ std::pair<std::string, Params> parse_spec(const std::string& spec) {
   return {name, params};
 }
 
-// Parameters are parsed with a full check: a sign, trailing junk or a
-// non-number is a malformed spec, never a wrapped or truncated value.
+// Parameters are parsed with a full check (util/parse_number.hpp): a sign,
+// trailing junk or a non-number is a malformed spec, never a wrapped or
+// truncated value.
 std::uint64_t get_u64(const Params& p, const std::string& key,
                       std::uint64_t fallback) {
   const auto it = p.find(key);
   if (it == p.end()) return fallback;
-  const std::string& raw = it->second;
-  std::uint64_t v = 0;
-  const auto [end, ec] =
-      std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  GC_REQUIRE(ec == std::errc() && end == raw.data() + raw.size(),
-             "policy parameter " + key +
-                 " must be a non-negative integer: " + raw);
-  return v;
+  const std::optional<std::uint64_t> v =
+      parse_number<std::uint64_t>(it->second);
+  GC_REQUIRE(v.has_value(), "policy parameter " + key +
+                                " must be a non-negative integer: " +
+                                it->second);
+  return *v;
 }
 
 double get_f64(const Params& p, const std::string& key, double fallback) {
   const auto it = p.find(key);
   if (it == p.end()) return fallback;
-  const std::string& raw = it->second;
-  double v = 0.0;
-  const auto [end, ec] =
-      std::from_chars(raw.data(), raw.data() + raw.size(), v);
-  GC_REQUIRE(!raw.empty() && raw.front() != '-' && ec == std::errc() &&
-                 end == raw.data() + raw.size() && std::isfinite(v),
-             "policy parameter " + key +
-                 " must be a non-negative number: " + raw);
-  return v;
+  const std::optional<double> v = parse_number<double>(it->second);
+  GC_REQUIRE(v.has_value(), "policy parameter " + key +
+                                " must be a non-negative number: " +
+                                it->second);
+  return *v;
 }
 
 IblpConfig iblp_config(const Params& p, std::size_t capacity) {

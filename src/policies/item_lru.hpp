@@ -46,8 +46,11 @@ class ItemLru final : public ReplacementPolicy {
 
   void on_miss(ItemId item) override {
     if (cache().full()) {
-      const ItemId victim = lru_->pop_back();
-      cache().evict(victim);
+      // The LRU victim's slot goes straight to `item`: one list step, and
+      // no size write.
+      cache().evict(lru_->replace_back(item));
+      cache().load(item);
+      return;
     }
     cache().load(item);
     lru_->push_front(item);

@@ -96,6 +96,19 @@ class IndexedList {
     return id;
   }
 
+  /// pop_back() then push_front(id) in one step: the least-recently-used id
+  /// leaves, `id` becomes the most recent, and the replaced id is returned.
+  /// The size is unchanged, so size_'s line is not written.
+  Id replace_back(Id id) {
+    GC_HOT_REQUIRE(id < universe(), "id out of range");
+    GC_HOT_REQUIRE(nodes_[id].next == kNull, "id already in list");
+    const Id victim = back();
+    unlink(victim);
+    nodes_[victim] = Node{kNull, kNull};
+    link_after(sentinel(), id);
+    return victim;
+  }
+
   void clear() {
     // O(universe) — only used between runs, never on the hot path.
     for (auto& n : nodes_) n = Node{kNull, kNull};

@@ -17,6 +17,7 @@
 #include "core/simulator.hpp"
 #include "policies/factory.hpp"
 #include "traces/synthetic.hpp"
+#include "util/contracts.hpp"
 
 namespace gcaching {
 namespace {
@@ -101,6 +102,35 @@ TEST(FastSim, ExplicitSpanOverloadAgrees) {
       "iblp", *w.map, w.trace, std::span<const BlockId>(ids), 32);
   const SimStats via_workload = simulate_fast_spec("iblp", w, 32);
   expect_identical(via_span, via_workload);
+}
+
+/// Breaks the law the fast engine derives its miss count from (every miss
+/// loads its requested item exactly once): each miss loads the requested
+/// item, evicts it and loads it again.
+class ReloadsRequested final : public ReplacementPolicy {
+ public:
+  void attach(const BlockMap& map, CacheContents& cache) override {
+    set_attachment(map, cache);
+  }
+  void reset() override {}
+  std::string name() const override { return "reloads-requested"; }
+  void on_hit(ItemId /*item*/) override {}
+  void on_miss(ItemId item) override {
+    cache().load(item);
+    cache().evict(item);
+    cache().load(item);
+  }
+};
+
+TEST(FastSim, MissWithTwoRequestedLoadsThrows) {
+  if (!kHotChecksEnabled) GTEST_SKIP() << "hot checks compiled out";
+  const Workload w = traces::zipf_blocks(8, 4, 50, 0.8, 2, 1);
+  const std::size_t capacity = w.map->num_items();
+  ReloadsRequested fast_policy;
+  EXPECT_THROW(simulate_fast(*w.map, w.trace, fast_policy, capacity),
+               ContractViolation);
+  ReloadsRequested verify_policy;
+  EXPECT_THROW(simulate(w, verify_policy, capacity), ContractViolation);
 }
 
 TEST(FastSim, RejectsUnknownSpec) {

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -253,7 +254,8 @@ TEST(GcachedShardLock, GuardSerializesIncrementsAndCountsEveryAcquisition) {
   // flags the unordered accesses if the acquire/release pairing is wrong.
   constexpr std::size_t kThreads = 4;
   constexpr std::uint64_t kIncrements = 20'000;
-  ShardLock lock;
+  std::atomic<bool> word{false};
+  ShardLock lock(word);
   std::uint64_t counter = 0;
   std::vector<ClientContext> ctxs;
   for (std::size_t t = 0; t < kThreads; ++t) ctxs.emplace_back(t + 1);

@@ -223,6 +223,31 @@ TEST(HdrHistogram, MergePreservesExactCountsAndClearResets) {
   EXPECT_EQ(a.quantile(0.5), 0.0);
 }
 
+std::uint64_t bucket_sum(const HdrHistogram& h) {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < HdrHistogram::kBuckets; ++i)
+    n += h.bucket_count(i);
+  return n;
+}
+
+// count() is derived from the buckets (there is no separate total), so it
+// must equal their sum after every kind of update.
+TEST(HdrHistogram, CountIsTheBucketSumAfterRecordMergeAndClear) {
+  HdrHistogram a, b;
+  fill_pattern(a, 3, 700);              // exact and linear-log buckets
+  a.record(std::uint64_t{1} << 50);     // overflow bucket
+  EXPECT_EQ(a.count(), 701u);
+  EXPECT_EQ(a.count(), bucket_sum(a));
+  fill_pattern(b, 40'000, 300);
+  b.merge_from(a);
+  EXPECT_EQ(b.count(), 1'001u);
+  EXPECT_EQ(b.count(), bucket_sum(b));
+  a.clear();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(bucket_sum(a), 0u);
+  EXPECT_EQ(b.count(), bucket_sum(b));  // merge copied; clear of a left b
+}
+
 // Concurrent recorders + a live merger: the tsan preset runs this via the
 // `gcached` label. After quiescing, every record must be accounted for.
 TEST(HdrHistogram, ConcurrentRecordAndMergeStress) {

@@ -68,6 +68,45 @@ TEST(IndexedList, PopBack) {
   EXPECT_EQ(l.size(), 1u);
 }
 
+TEST(IndexedList, ReplaceBackMatchesPopBackThenPushFront) {
+  IndexedList l(8);
+  IndexedList ref(8);
+  for (const std::uint32_t id : {0u, 1u, 2u}) {
+    l.push_front(id);
+    ref.push_front(id);
+  }
+  EXPECT_EQ(l.replace_back(5), 0u);  // LRU leaves, 5 becomes MRU
+  EXPECT_EQ(ref.pop_back(), 0u);
+  ref.push_front(5);
+  EXPECT_EQ(l.to_vector(), (std::vector<std::uint32_t>{5, 2, 1}));
+  EXPECT_EQ(l.to_vector(), ref.to_vector());
+  EXPECT_EQ(l.size(), 3u);
+  EXPECT_FALSE(l.contains(0));
+  EXPECT_TRUE(l.contains(5));
+  // The replaced id can come back.
+  EXPECT_EQ(l.replace_back(0), 1u);
+  EXPECT_EQ(l.to_vector(), (std::vector<std::uint32_t>{0, 5, 2}));
+  EXPECT_EQ(l.size(), 3u);
+}
+
+TEST(IndexedList, ReplaceBackOfASingleton) {
+  IndexedList l(4);
+  l.push_front(3);
+  EXPECT_EQ(l.replace_back(1), 3u);
+  EXPECT_EQ(l.to_vector(), (std::vector<std::uint32_t>{1}));
+  EXPECT_EQ(l.front(), 1u);
+  EXPECT_EQ(l.back(), 1u);
+  EXPECT_EQ(l.size(), 1u);
+}
+
+TEST(IndexedList, ReplaceBackWithAMemberThrows) {
+  SKIP_WITHOUT_HOT_CHECKS();
+  IndexedList l(4);
+  l.push_front(1);
+  l.push_front(2);
+  EXPECT_THROW(l.replace_back(2), ContractViolation);
+}
+
 TEST(IndexedList, PushBack) {
   IndexedList l(4);
   l.push_front(1);

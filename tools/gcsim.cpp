@@ -18,9 +18,7 @@
 //
 // Everything the library can do, scriptable. Run `gcsim help` for details.
 #include <cctype>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -32,7 +30,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,6 +59,7 @@
 #include "traces/locality_trace.hpp"
 #include "traces/synthetic.hpp"
 #include "util/csv.hpp"
+#include "util/parse_number.hpp"
 #include "util/table.hpp"
 
 namespace gcaching::cli {
@@ -73,24 +71,6 @@ namespace {
 // options it reads; any other option is rejected before the subcommand runs,
 // so a typo or a removed option never silently falls back to a default.
 // ---------------------------------------------------------------------------
-
-/// Parses the value `raw` of option --`key` as a non-negative number with a
-/// full-length `std::from_chars`. A sign, trailing junk, an empty value and
-/// a non-finite double all exit 2 with a diagnostic naming the option.
-template <typename T>
-T parse_number(const std::string& key, const std::string& raw) {
-  T v{};
-  const char* const end = raw.data() + raw.size();
-  const auto [ptr, ec] = std::from_chars(raw.data(), end, v);
-  bool ok = !raw.empty() && raw.front() != '-' && ec == std::errc() &&
-            ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
-  if (!ok) {
-    std::cerr << "invalid number for --" << key << ": '" << raw << "'\n";
-    std::exit(2);
-  }
-  return v;
-}
 
 class Args {
  public:
@@ -143,31 +123,21 @@ class Args {
   std::uint64_t get_u64(const std::string& key,
                         std::optional<std::uint64_t> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return parse_number<std::uint64_t>(key, get(key));
+    return parse_option<std::uint64_t>(key, get(key));
   }
 
-  /// Signed, fully-checked integer parse: rejects non-numeric values and
-  /// trailing junk instead of wrapping or crashing, so `--shards -4` can be
-  /// validated as -4 rather than silently becoming 2^64-4.
+  /// Signed parse, so `--shards -4` can be validated as -4 rather than
+  /// rejected as malformed or wrapped to 2^64-4.
   long long get_i64(const std::string& key,
                     std::optional<long long> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    const std::string raw = get(key);
-    try {
-      std::size_t used = 0;
-      const long long v = std::stoll(raw, &used);
-      if (used != raw.size()) throw std::invalid_argument(raw);
-      return v;
-    } catch (const std::exception&) {
-      std::cerr << "invalid integer for --" << key << ": '" << raw << "'\n";
-      std::exit(2);
-    }
+    return parse_option<long long>(key, get(key));
   }
 
   double get_f64(const std::string& key,
                  std::optional<double> fallback = {}) const {
     if (!has(key) && fallback) return *fallback;
-    return parse_number<double>(key, get(key));
+    return parse_option<double>(key, get(key));
   }
 
  private:
@@ -199,7 +169,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 std::vector<std::size_t> split_sizes(const Args& args, const std::string& key) {
   std::vector<std::size_t> out;
   for (const auto& tok : split_csv(args.get(key)))
-    out.push_back(parse_number<std::uint64_t>(key, tok));
+    out.push_back(parse_option<std::uint64_t>(key, tok));
   return out;
 }
 
@@ -834,11 +804,11 @@ int cmd_hierarchy(const Args& args) {
     }
     hierarchy::LevelConfig cfg;
     cfg.name = parts[0];
-    cfg.capacity = parse_number<std::uint64_t>("level", parts[1]);
+    cfg.capacity = parse_option<std::uint64_t>("level", parts[1]);
     cfg.policy_spec = parts[2];
     cfg.map = make_uniform_blocks(
-        w.map->num_items(), parse_number<std::uint64_t>("level", parts[3]));
-    cfg.miss_penalty = parse_number<double>("level", parts[4]);
+        w.map->num_items(), parse_option<std::uint64_t>("level", parts[3]));
+    cfg.miss_penalty = parse_option<double>("level", parts[4]);
     levels.push_back(std::move(cfg));
   }
   hierarchy::HierarchySimulator hs(levels,
